@@ -375,41 +375,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     lint.add_argument(
         "--format",
-        choices=["text", "json", "sarif"],
+        choices=["text", "json"],
         default="text",
-        help="findings as a text report, a JSON document, or SARIF "
-        "2.1.0 for code scanning",
+        help="findings as a text report or a JSON document",
     )
     lint.add_argument(
         "--list-rules",
         action="store_true",
         help="list the registered rules and exit",
-    )
-    lint.add_argument(
-        "--changed-only",
-        action="store_true",
-        help="lint only files changed vs `git merge-base HEAD main` "
-        "(project-wide rules still see the whole package)",
-    )
-    lint.add_argument(
-        "--baseline",
-        metavar="PATH",
-        default=None,
-        help="filter findings recorded in this baseline file "
-        "(default: .simlint-baseline.json at the repo root, if it "
-        "exists)",
-    )
-    lint.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline file from this run's findings and "
-        "exit 0",
-    )
-    lint.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="skip the content-hash result cache "
-        "(.simlint_cache.json)",
     )
 
     return parser
@@ -944,48 +917,12 @@ def _sweep_injections(args: argparse.Namespace, keys):
     }
 
 
-def _changed_paths(repo_root) -> list:
-    """Files changed vs the merge base with main (for --changed-only)."""
-    import subprocess
-
-    def _git(*cmd: str) -> str:
-        try:
-            proc = subprocess.run(
-                ["git", *cmd],
-                cwd=repo_root,
-                capture_output=True,
-                text=True,
-                check=True,
-            )
-        except (OSError, subprocess.CalledProcessError) as exc:
-            detail = getattr(exc, "stderr", "") or str(exc)
-            raise SystemExit(
-                f"--changed-only needs git ({detail.strip()})"
-            )
-        return proc.stdout
-    base = _git("merge-base", "HEAD", "main").strip()
-    names = _git("diff", "--name-only", base).splitlines()
-    changed = []
-    for name in names:
-        path = repo_root / name.strip()
-        if path.suffix == ".py" and path.is_file():
-            changed.append(path)
-    return changed
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.lint import LintEngine, make_rules
-    from repro.lint.baseline import (
-        DEFAULT_BASELINE_NAME,
-        apply_baseline,
-        load_baseline,
-        write_baseline,
-    )
-    from repro.lint.cache import DEFAULT_CACHE_NAME
     from repro.lint.findings import exit_code
-    from repro.lint.report import render_json, render_sarif, render_text
+    from repro.lint.report import render_json, render_text
 
     if args.list_rules:
         for rule in make_rules():
@@ -995,60 +932,9 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     package_root = Path(__file__).resolve().parent
     repo_root = package_root.parent.parent
     paths = [Path(p) for p in args.paths] or None
-    if args.changed_only:
-        if paths is not None:
-            raise SystemExit(
-                "--changed-only and explicit paths are mutually "
-                "exclusive"
-            )
-        changed = _changed_paths(repo_root)
-        changed = [
-            p for p in changed
-            if package_root in p.resolve().parents
-        ]
-        if not changed:
-            print("simlint: no changed files under the package")
-            return 0
-        paths = changed
-    cache_path = None
-    if not args.no_cache and paths is None:
-        cache_path = repo_root / DEFAULT_CACHE_NAME
-    engine = LintEngine(
-        package_root, repo_root=repo_root, cache_path=cache_path
-    )
-    findings = engine.run(paths=paths)
-    baseline_path = (
-        Path(args.baseline)
-        if args.baseline
-        else repo_root / DEFAULT_BASELINE_NAME
-    )
-    if args.update_baseline:
-        write_baseline(baseline_path, findings)
-        print(
-            f"simlint: wrote {len(findings)} finding(s) to "
-            f"{baseline_path}"
-        )
-        return 0
-    baselined = 0
-    if args.baseline or baseline_path.is_file():
-        try:
-            entries = load_baseline(baseline_path)
-        except (OSError, ValueError) as exc:
-            raise SystemExit(f"simlint: {exc}")
-        findings, baselined = apply_baseline(findings, entries)
+    findings = LintEngine(package_root, repo_root=repo_root).run(paths)
     if args.format == "json":
-        print(
-            render_json(
-                findings,
-                extra={
-                    "cache": engine.stats.to_dict(),
-                    "baselined": baselined,
-                },
-            )
-        )
-    elif args.format == "sarif":
-        prefix = package_root.relative_to(repo_root).as_posix() + "/"
-        print(render_sarif(findings, uri_prefix=prefix))
+        print(render_json(findings))
     else:
         print(render_text(findings))
     return exit_code(findings)

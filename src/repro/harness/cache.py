@@ -95,7 +95,6 @@ def _deserialize(data: Dict[str, object]) -> SimulationResult:
             raise StaleCacheEntry(
                 f"cache entry has unknown counter {name!r}"
             )
-        # simlint: ignore[GRIT-P001]  (names validated against vars())
         setattr(counters, name, value)
     counters.scheme_usage = {
         Scheme[name]: count

@@ -259,7 +259,6 @@ def result_digest(result: SimulationResult) -> str:
 
 
 def _task_id(key: RunKey) -> str:
-    # simlint: ignore[GRIT-F001]  (display name, not a result digest)
     digest = hashlib.sha1(repr(key).encode("utf-8")).hexdigest()[:8]
     return f"{key.workload}/{key.policy}-{digest}"
 
@@ -727,28 +726,23 @@ class SweepOrchestrator:
         """Account one successful task's shipped telemetry.
 
         The sweep registry is wall-clock-domain by contract (like the
-        retry/timeout counters); the telemetry object carries a
-        wall_seconds field, which taints it as a whole, but every
-        value counted below (span/drop counts, payload bytes) is a
-        deterministic function of the simulated run.
+        retry/timeout counters), but every value counted below
+        (span/drop counts, payload bytes) is a deterministic function
+        of the simulated run.
         """
         registry = self.registry
-        # simlint: ignore[GRIT-F001]  (see docstring)
         registry.inc(catalog.SWEEP_WORKER_SPANS, len(telemetry.spans))
         if telemetry.dropped_spans:
-            # simlint: ignore[GRIT-F001]  (see docstring)
             registry.inc(
                 catalog.SWEEP_WORKER_DROPPED_SPANS,
                 telemetry.dropped_spans,
             )
         if telemetry.dropped_events:
-            # simlint: ignore[GRIT-F001]  (see docstring)
             registry.inc(
                 catalog.SWEEP_WORKER_DROPPED_EVENTS,
                 telemetry.dropped_events,
             )
         if telemetry.payload_bytes:
-            # simlint: ignore[GRIT-F001]  (see docstring)
             registry.inc(
                 catalog.SWEEP_WORKER_TELEMETRY_BYTES,
                 telemetry.payload_bytes,

@@ -2,13 +2,12 @@
 
 An AST-based rule engine with repo-specific rules in four families —
 determinism (no wall clock / unseeded RNG / unordered-set iteration in
-the simulation core), hygiene (mutable defaults, bare excepts),
-cross-module consistency (policy registry reachability, EventKind
-emission coverage, LatencyCategory-typed charges, documented CLI
-subcommands), and the simflow dataflow passes (cross-module taint
-tracking from nondeterminism sources to result sinks, config/CLI
-provenance, worker exception safety).  Run it via ``grit-repro lint``
-or programmatically:
+the simulation core), hygiene (mutable defaults), cross-module
+consistency (policy registry reachability, EventKind emission coverage,
+LatencyCategory-typed charges, documented CLI subcommands, executor
+coverage, timing-kernel routing), and provenance (every config field,
+``GRIT_*`` variable and CLI flag is consumed).  Run it via
+``grit-repro lint`` or programmatically:
 
     from pathlib import Path
     from repro.lint import LintEngine
@@ -19,13 +18,6 @@ or programmatically:
 See docs/static_analysis.md for the rule catalog and how to add rules.
 """
 
-from repro.lint.baseline import (
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
-from repro.lint.cache import AnalysisCache, CacheStats
-from repro.lint.callgraph import CallGraph
 from repro.lint.engine import (
     LintEngine,
     FileRule,
@@ -37,37 +29,25 @@ from repro.lint.engine import (
     registered_rules,
     rule,
 )
-from repro.lint.findings import Finding, Severity, TraceStep, exit_code
-from repro.lint.report import render_json, render_sarif, render_text
-from repro.lint.suppress import apply_suppressions
+from repro.lint.findings import Finding, Severity, exit_code
+from repro.lint.report import render_json, render_text
 from repro.lint.symbols import ModuleInfo, SymbolTable
-from repro.lint.taint import FlowAnalysis
 
 __all__ = [
-    "AnalysisCache",
-    "CacheStats",
-    "CallGraph",
     "Finding",
-    "FlowAnalysis",
     "Severity",
-    "TraceStep",
     "exit_code",
     "LintEngine",
     "FileRule",
     "ProjectRule",
     "Rule",
-    "apply_baseline",
-    "apply_suppressions",
     "check_module",
     "lint_source",
-    "load_baseline",
     "make_rules",
     "registered_rules",
     "rule",
     "render_json",
-    "render_sarif",
     "render_text",
-    "write_baseline",
     "ModuleInfo",
     "SymbolTable",
 ]

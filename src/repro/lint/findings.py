@@ -2,10 +2,8 @@
 
 A :class:`Finding` pins one rule violation to a ``file:line`` location
 with a severity and an actionable fix hint.  Findings are value objects:
-reporters (text, JSON, SARIF) and the CLI exit code are derived from
-them, and tests compare them directly.  Flow findings additionally carry
-a :class:`TraceStep` chain — the source-to-sink path the interprocedural
-analysis walked to convict the sink.
+reporters (text, JSON) and the CLI exit code are derived from them, and
+tests compare them directly.
 """
 
 from __future__ import annotations
@@ -26,18 +24,6 @@ class Severity(enum.Enum):
 
 
 @dataclasses.dataclass(frozen=True)
-class TraceStep:
-    """One hop of a source-to-sink dataflow trace."""
-
-    path: str
-    line: int
-    note: str
-
-    def to_dict(self) -> dict[str, object]:
-        return {"path": self.path, "line": self.line, "note": self.note}
-
-
-@dataclasses.dataclass(frozen=True)
 class Finding:
     """One rule violation at one source location."""
 
@@ -48,8 +34,6 @@ class Finding:
     message: str
     col: int = 0
     hint: str = ""
-    #: Source-to-sink path for dataflow findings (empty otherwise).
-    trace: tuple[TraceStep, ...] = ()
 
     @property
     def location(self) -> str:
@@ -62,7 +46,7 @@ class Finding:
 
     def to_dict(self) -> dict[str, object]:
         """JSON-friendly representation (the JSON reporter's rows)."""
-        data: dict[str, object] = {
+        return {
             "rule": self.rule_id,
             "severity": self.severity.value,
             "path": self.path,
@@ -71,31 +55,6 @@ class Finding:
             "message": self.message,
             "hint": self.hint,
         }
-        if self.trace:
-            data["trace"] = [step.to_dict() for step in self.trace]
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict[str, object]) -> "Finding":
-        """Rebuild a finding from :meth:`to_dict` output (cache files)."""
-        trace = tuple(
-            TraceStep(
-                path=str(step["path"]),
-                line=int(step["line"]),  # type: ignore[arg-type]
-                note=str(step["note"]),
-            )
-            for step in data.get("trace", ())  # type: ignore[union-attr]
-        )
-        return cls(
-            rule_id=str(data["rule"]),
-            severity=Severity(str(data["severity"])),
-            path=str(data["path"]),
-            line=int(data["line"]),  # type: ignore[arg-type]
-            message=str(data["message"]),
-            col=int(data.get("col", 0)),  # type: ignore[arg-type]
-            hint=str(data.get("hint", "")),
-            trace=trace,
-        )
 
     def render(self) -> str:
         """One text-reporter block for this finding."""
@@ -105,13 +64,6 @@ class Finding:
         )
         if self.hint:
             text += f"\n    hint: {self.hint}"
-        if self.trace:
-            text += "\n    trace:"
-            for index, step in enumerate(self.trace, start=1):
-                text += (
-                    f"\n      {index}. {step.note}"
-                    f" ({step.path}:{step.line})"
-                )
         return text
 
 

@@ -1,18 +1,11 @@
-"""Finding reporters: text, JSON, and SARIF for code scanning."""
+"""Finding reporters: text and JSON."""
 
 from __future__ import annotations
 
 import json
 from typing import Dict, List
 
-from repro.lint.engine import PARSE_ERROR_RULE_ID, make_rules
 from repro.lint.findings import Finding, Severity
-from repro.lint.suppress import UNUSED_SUPPRESSION_RULE_ID
-
-_SARIF_SCHEMA = (
-    "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-    "Schemata/sarif-schema-2.1.0.json"
-)
 
 
 def render_text(findings: List[Finding]) -> str:
@@ -28,14 +21,8 @@ def render_text(findings: List[Finding]) -> str:
     return "\n".join([*lines, summary])
 
 
-def render_json(
-    findings: List[Finding], extra: Dict[str, object] | None = None
-) -> str:
-    """JSON document with one row per finding plus totals.
-
-    ``extra`` entries (cache statistics, baseline counts) are merged
-    into the top-level document.
-    """
+def render_json(findings: List[Finding]) -> str:
+    """JSON document with one row per finding plus totals."""
     document: Dict[str, object] = {
         "findings": [finding.to_dict() for finding in findings],
         "errors": sum(
@@ -49,122 +36,5 @@ def render_json(
             if finding.severity is Severity.WARNING
         ),
     }
-    if extra:
-        document.update(extra)
     return json.dumps(document, indent=2)
 
-
-def _sarif_rules() -> List[Dict[str, object]]:
-    catalog: List[Dict[str, object]] = []
-    for candidate in make_rules():
-        catalog.append(
-            {
-                "id": candidate.rule_id,
-                "shortDescription": {"text": candidate.description},
-                "help": {"text": candidate.hint or candidate.description},
-                "defaultConfiguration": {
-                    "level": candidate.severity.value
-                },
-            }
-        )
-    catalog.append(
-        {
-            "id": PARSE_ERROR_RULE_ID,
-            "shortDescription": {"text": "file does not parse"},
-            "help": {"text": "fix the syntax error"},
-            "defaultConfiguration": {"level": "error"},
-        }
-    )
-    catalog.append(
-        {
-            "id": UNUSED_SUPPRESSION_RULE_ID,
-            "shortDescription": {
-                "text": "a # simlint: ignore comment silences nothing"
-            },
-            "help": {"text": "delete the stale suppression"},
-            "defaultConfiguration": {"level": "warning"},
-        }
-    )
-    catalog.sort(key=lambda row: str(row["id"]))
-    return catalog
-
-
-def _sarif_location(
-    path: str, line: int, col: int, uri_prefix: str
-) -> Dict[str, object]:
-    return {
-        "physicalLocation": {
-            "artifactLocation": {"uri": uri_prefix + path},
-            "region": {
-                "startLine": max(line, 1),
-                "startColumn": col + 1,
-            },
-        }
-    }
-
-
-def render_sarif(
-    findings: List[Finding], uri_prefix: str = ""
-) -> str:
-    """SARIF 2.1.0 document (GitHub code-scanning compatible).
-
-    ``uri_prefix`` maps package-relative finding paths onto
-    repo-relative artifact URIs (e.g. ``"src/repro/"``).  Taint traces
-    become SARIF ``codeFlows`` so the code-scanning UI renders the
-    full source-to-sink path.
-    """
-    results: List[Dict[str, object]] = []
-    for finding in findings:
-        result: Dict[str, object] = {
-            "ruleId": finding.rule_id,
-            "level": finding.severity.value,
-            "message": {"text": finding.message},
-            "locations": [
-                _sarif_location(
-                    finding.path, finding.line, finding.col, uri_prefix
-                )
-            ],
-        }
-        if finding.trace:
-            result["codeFlows"] = [
-                {
-                    "threadFlows": [
-                        {
-                            "locations": [
-                                {
-                                    "location": {
-                                        **_sarif_location(
-                                            step.path,
-                                            step.line,
-                                            0,
-                                            uri_prefix,
-                                        ),
-                                        "message": {"text": step.note},
-                                    }
-                                }
-                                for step in finding.trace
-                            ]
-                        }
-                    ]
-                }
-            ]
-        results.append(result)
-    document = {
-        "$schema": _SARIF_SCHEMA,
-        "version": "2.1.0",
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "simlint",
-                        "informationUri": (
-                            "docs/static_analysis.md in this repository"
-                        ),
-                        "rules": _sarif_rules(),
-                    }
-                },
-                "results": results,
-            }
-        ],
-    }
-    return json.dumps(document, indent=2)

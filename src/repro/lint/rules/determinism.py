@@ -13,20 +13,54 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Set
 
-from repro.lint.dataflow import (
-    DATETIME_FUNCTIONS as _DATETIME_FUNCTIONS,
-    SEEDED_CONSTRUCTORS as _SEEDED_CONSTRUCTORS,
-    SET_ATTRIBUTES as _SET_ATTRIBUTES,
-    SET_RETURNING_METHODS as _SET_RETURNING_METHODS,
-    TIME_FUNCTIONS as _TIME_FUNCTIONS,
-    root_name as _root_name,
-)
 from repro.lint.engine import FileRule, rule
 from repro.lint.findings import Finding
 from repro.lint.symbols import ModuleInfo
 
 #: Package-relative directories holding simulation state machines.
 SIMULATION_SCOPE = ("sim/", "uvm/", "policies/")
+
+#: Wall-clock reading functions of the ``time`` module.
+_TIME_FUNCTIONS = frozenset(
+    {
+        "time",
+        "time_ns",
+        "monotonic",
+        "monotonic_ns",
+        "perf_counter",
+        "perf_counter_ns",
+        "process_time",
+        "process_time_ns",
+        "clock",
+    }
+)
+
+#: Current-moment constructors of the ``datetime`` module.
+_DATETIME_FUNCTIONS = frozenset({"now", "utcnow", "today"})
+
+#: ``random``/``numpy.random`` names that are fine *when seeded*.
+_SEEDED_CONSTRUCTORS = frozenset(
+    {"Random", "SystemRandom", "default_rng", "RandomState",
+     "SeedSequence", "Generator", "PCG64", "Philox"}
+)
+
+#: Set-producing method names on project objects (PageInfo.holders()).
+_SET_RETURNING_METHODS = frozenset(
+    {"holders", "union", "intersection", "difference",
+     "symmetric_difference"}
+)
+
+#: Attributes known to hold sets (PageInfo.replicas).
+_SET_ATTRIBUTES = frozenset({"replicas"})
+
+
+def _root_name(node: ast.AST) -> str | None:
+    """Leftmost ``Name`` of an attribute chain (``a.b.c`` -> ``a``)."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    if isinstance(node, ast.Name):
+        return node.id
+    return None
 
 
 @rule

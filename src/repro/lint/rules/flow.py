@@ -1,29 +1,14 @@
-"""simflow rules: cross-module dataflow, provenance, worker safety.
+"""Flow rules: every config knob and CLI flag must reach a reader.
 
-These rules consume the interprocedural analysis in
-:mod:`repro.lint.taint` / :mod:`repro.lint.dataflow`:
-
-* **GRIT-F001** — a nondeterminism source (wall clock, environment,
-  pid, ``id()``, global/unseeded RNG) flows through calls, returns, or
-  attribute writes into a result sink (cycle accounting,
-  ``SimulationResult``, metrics/event emission, cache digests).  Each
-  finding carries the full source-to-sink trace.
-* **GRIT-F002** — an unordered set is iterated where the per-file
-  GRIT-D003 rule is blind: the set came out of a helper call, a
-  parameter, or a set-annotated attribute, or the code lives outside
-  D003's ``sim/``/``uvm/``/``policies/`` scope.
 * **GRIT-F003** — config provenance: every config dataclass field must
   be read outside ``config.py`` (directly or through an externally
   used config method), and every ``GRIT_*`` env var must be read via
   ``os.environ`` *and* documented in ``config.py``.
 * **GRIT-F004** — CLI provenance: every flag a subcommand parses must
   be read by its handler, and every subcommand must be dispatched.
-* **GRIT-F005** — exception safety on worker-reachable code: no
-  swallowed ``BaseException``, no pass-only broad handlers, no bare
-  ``open()`` outside a ``with`` block.
-* **GRIT-P001 / GRIT-P002** — degradation warnings: dynamically built
-  attribute names the dataflow cannot see, and per-function analysis
-  failures.  The analyzer never crashes or silently skips.
+
+A knob that nothing reads still shows up in ``--help`` and the docs,
+yet changes no result; no runtime test can notice that it is dead.
 """
 
 from __future__ import annotations
@@ -32,82 +17,11 @@ import ast
 import re
 from typing import Dict, Iterator, List, Set, Tuple
 
-from repro.lint.callgraph import CallGraph, FunctionInfo
 from repro.lint.engine import ProjectRule, rule
-from repro.lint.findings import Finding, Severity, TraceStep
-from repro.lint.rules.determinism import SIMULATION_SCOPE
+from repro.lint.findings import Finding
 from repro.lint.symbols import ModuleInfo, SymbolTable
-from repro.lint.taint import FlowAnalysis
 
 _ENV_VAR_PATTERN = re.compile(r"^GRIT_[A-Z0-9_]+$")
-
-
-def _trace(steps) -> Tuple[TraceStep, ...]:
-    return tuple(
-        TraceStep(path=s.path, line=s.line, note=s.note) for s in steps
-    )
-
-
-@rule
-class TaintedSinkRule(ProjectRule):
-    """Determinism taint: sources must never reach result sinks."""
-
-    rule_id = "GRIT-F001"
-    description = (
-        "no nondeterminism source (wall clock, env, pid, id(), global "
-        "RNG) may flow into cycle accounting, SimulationResult, "
-        "metrics/event emission, or cache digests — even through "
-        "helpers"
-    )
-    hint = (
-        "derive the value from simulated state (clocks, counters, "
-        "config) instead of the environment"
-    )
-
-    def check_project(self, symbols: SymbolTable) -> Iterator[Finding]:
-        analysis = FlowAnalysis.of(symbols)
-        for hit in analysis.value_hits:
-            yield Finding(
-                rule_id=self.rule_id,
-                severity=self.severity,
-                path=hit.path,
-                line=hit.line,
-                message=f"{hit.label} reaches {hit.sink}",
-                hint=self.hint,
-                trace=_trace(hit.steps),
-            )
-
-
-@rule
-class UnorderedFlowRule(ProjectRule):
-    """Unordered-set iteration that per-file D003 cannot see."""
-
-    rule_id = "GRIT-F002"
-    description = (
-        "no iteration over sets that arrive through helper returns, "
-        "parameters, or set-annotated attributes (GRIT-D003's "
-        "cross-function blind spots); iteration order leaks into "
-        "results"
-    )
-    hint = "iterate sorted(...) so the order is explicit"
-
-    def check_project(self, symbols: SymbolTable) -> Iterator[Finding]:
-        analysis = FlowAnalysis.of(symbols)
-        for hit in analysis.order_hits:
-            if hit.syntactic and hit.path.startswith(SIMULATION_SCOPE):
-                continue  # GRIT-D003 already owns this finding
-            yield Finding(
-                rule_id=self.rule_id,
-                severity=self.severity,
-                path=hit.path,
-                line=hit.line,
-                message=(
-                    f"iteration over an unordered set ({hit.note}); "
-                    "the order can leak into results"
-                ),
-                hint=self.hint,
-                trace=_trace(hit.steps),
-            )
 
 
 @rule
@@ -664,200 +578,3 @@ class CliProvenanceRule(ProjectRule):
                                 ):
                                     stack.append((callee.name, kw.arg))
         return reads, opaque
-
-
-@rule
-class WorkerSafetyRule(ProjectRule):
-    """Exception safety on orchestrator-worker-reachable code."""
-
-    rule_id = "GRIT-F005"
-    description = (
-        "code reachable from a worker entrypoint (Process/Thread "
-        "target) must not swallow BaseException, use pass-only broad "
-        "handlers, or open file handles outside a with block"
-    )
-    hint = (
-        "catch Exception (re-raise BaseException after reporting), "
-        "handle specific errors, and use `with open(...)`"
-    )
-
-    def check_project(self, symbols: SymbolTable) -> Iterator[Finding]:
-        graph = CallGraph.of(symbols)
-        roots: List[FunctionInfo] = []
-        for info in symbols.iter_modules():
-            for node in ast.walk(info.tree):
-                if not isinstance(node, ast.Call):
-                    continue
-                func = node.func
-                callable_name = None
-                if isinstance(func, ast.Name):
-                    callable_name = func.id
-                elif isinstance(func, ast.Attribute):
-                    callable_name = func.attr
-                if callable_name not in ("Process", "Thread"):
-                    continue
-                for kw in node.keywords:
-                    if kw.arg != "target":
-                        continue
-                    target = graph.resolve_target(
-                        kw.value, info.relpath
-                    )
-                    if target is not None:
-                        roots.append(target)
-        for fn in graph.reachable(roots):
-            yield from self._check_function(fn)
-
-    def _check_function(self, fn: FunctionInfo) -> Iterator[Finding]:
-        sanctioned: Set[int] = set()
-        for node in ast.walk(fn.node):
-            if isinstance(node, (ast.With, ast.AsyncWith)):
-                for item in node.items:
-                    sanctioned.add(id(item.context_expr))
-        for node in ast.walk(fn.node):
-            if isinstance(node, ast.ExceptHandler):
-                yield from self._check_handler(fn, node)
-            elif (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id == "open"
-                and id(node) not in sanctioned
-            ):
-                yield Finding(
-                    rule_id=self.rule_id,
-                    severity=self.severity,
-                    path=fn.relpath,
-                    line=node.lineno,
-                    message=(
-                        f"open() outside a with block in worker-"
-                        f"reachable {fn.qualname}(): the handle leaks "
-                        "when the error path unwinds"
-                    ),
-                    hint="use `with open(...) as handle:`",
-                )
-
-    def _check_handler(
-        self, fn: FunctionInfo, handler: ast.ExceptHandler
-    ) -> Iterator[Finding]:
-        names = self._handler_names(handler.type)
-        if names is None:
-            return  # bare except is GRIT-H002's finding
-        broad = {"Exception", "BaseException"} & names
-        if "BaseException" in names and not any(
-            isinstance(sub, ast.Raise) for sub in ast.walk(handler)
-        ):
-            yield Finding(
-                rule_id=self.rule_id,
-                severity=self.severity,
-                path=fn.relpath,
-                line=handler.lineno,
-                message=(
-                    f"worker-reachable {fn.qualname}() swallows "
-                    "BaseException without re-raising: cancellation "
-                    "(KeyboardInterrupt/SystemExit) dies here and the "
-                    "worker reports a clean exit"
-                ),
-                hint=(
-                    "catch Exception, or re-raise after reporting "
-                    "the failure"
-                ),
-            )
-        elif broad and self._is_pass_only(handler.body):
-            yield Finding(
-                rule_id=self.rule_id,
-                severity=self.severity,
-                path=fn.relpath,
-                line=handler.lineno,
-                message=(
-                    f"worker-reachable {fn.qualname}() silently "
-                    f"swallows {sorted(broad)[0]}: the error path "
-                    "drops the failure on the floor"
-                ),
-                hint=(
-                    "name the specific exceptions the code can "
-                    "actually handle"
-                ),
-            )
-
-    @staticmethod
-    def _handler_names(node: ast.expr | None) -> Set[str] | None:
-        if node is None:
-            return None
-        candidates = (
-            node.elts if isinstance(node, ast.Tuple) else [node]
-        )
-        names: Set[str] = set()
-        for candidate in candidates:
-            if isinstance(candidate, ast.Name):
-                names.add(candidate.id)
-            elif isinstance(candidate, ast.Attribute):
-                names.add(candidate.attr)
-        return names
-
-    @staticmethod
-    def _is_pass_only(body: List[ast.stmt]) -> bool:
-        for stmt in body:
-            if isinstance(stmt, ast.Pass):
-                continue
-            if isinstance(stmt, ast.Expr) and isinstance(
-                stmt.value, ast.Constant
-            ):
-                continue
-            return False
-        return True
-
-
-@rule
-class DynamicAttributeRule(ProjectRule):
-    """Dynamically built attribute names blind the dataflow pass."""
-
-    rule_id = "GRIT-P001"
-    severity = Severity.WARNING
-    description = (
-        "getattr/setattr with computed names inside the flow-analysis "
-        "scope hide dataflow from simflow (degradation warning)"
-    )
-    hint = (
-        "name the attribute statically, or suppress with "
-        "`# simlint: ignore[GRIT-P001]` when the dynamism is the point"
-    )
-
-    def check_project(self, symbols: SymbolTable) -> Iterator[Finding]:
-        analysis = FlowAnalysis.of(symbols)
-        for degradation in analysis.degradations:
-            if degradation.kind != "dynamic-attr":
-                continue
-            yield Finding(
-                rule_id=self.rule_id,
-                severity=self.severity,
-                path=degradation.path,
-                line=degradation.line,
-                message=degradation.note,
-                hint=self.hint,
-            )
-
-
-@rule
-class AnalysisFailureRule(ProjectRule):
-    """The analyzer degrades to a warning instead of crashing."""
-
-    rule_id = "GRIT-P002"
-    severity = Severity.WARNING
-    description = (
-        "a function the flow analysis could not process degrades to "
-        "this warning instead of crashing or silently skipping"
-    )
-    hint = "report the construct so the analyzer learns it"
-
-    def check_project(self, symbols: SymbolTable) -> Iterator[Finding]:
-        analysis = FlowAnalysis.of(symbols)
-        for degradation in analysis.degradations:
-            if degradation.kind != "analysis-failure":
-                continue
-            yield Finding(
-                rule_id=self.rule_id,
-                severity=self.severity,
-                path=degradation.path,
-                line=degradation.line,
-                message=degradation.note,
-                hint=self.hint,
-            )

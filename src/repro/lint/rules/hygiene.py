@@ -2,8 +2,7 @@
 
 A mutable default argument is one shared object across *every*
 simulation a process runs — state leaking between runs looks exactly
-like nondeterminism.  A bare ``except:`` swallows ``KeyboardInterrupt``
-and masks real engine bugs as silently-wrong results.
+like nondeterminism.  (Bare ``except:`` handlers are ruff's E722.)
 """
 
 from __future__ import annotations
@@ -79,21 +78,3 @@ class MutableDefaultRule(FileRule):
                     default,
                     f"mutable default argument in {name}()",
                 )
-
-
-@rule
-class BareExceptRule(FileRule):
-    """No bare ``except:`` handlers anywhere in the package."""
-
-    rule_id = "GRIT-H002"
-    description = (
-        "bare except: catches KeyboardInterrupt/SystemExit and hides "
-        "engine bugs; name the exception types"
-    )
-    hint = "catch a specific exception (at widest, `except Exception:`)"
-
-    def visit_ExceptHandler(
-        self, node: ast.ExceptHandler, module: ModuleInfo
-    ) -> Iterator[Finding]:
-        if node.type is None:
-            yield self.finding(module, node, "bare except handler")

@@ -3,13 +3,10 @@
 from repro.sim.engine import Engine, simulate
 from repro.sim.gpu import GpuNode
 from repro.sim.result import SimulationResult
-from repro.sim.scheduler import partition_blocks, round_robin_fill
 
 __all__ = [
     "Engine",
     "simulate",
     "GpuNode",
     "SimulationResult",
-    "partition_blocks",
-    "round_robin_fill",
 ]

@@ -24,6 +24,27 @@ PACKAGE_ROOT = Path(repro.__file__).resolve().parent
 REPO_ROOT = PACKAGE_ROOT.parent.parent
 
 
+#: The rules simlint enforces; a rule module dropped from
+#: ``repro/lint/rules/__init__.py`` would otherwise let the clean-repo
+#: test pass with nothing checked.
+KEPT_RULE_IDS = [
+    "GRIT-C001",
+    "GRIT-C002",
+    "GRIT-C003",
+    "GRIT-C004",
+    "GRIT-C005",
+    "GRIT-C006",
+    "GRIT-C007",
+    "GRIT-C008",
+    "GRIT-D001",
+    "GRIT-D002",
+    "GRIT-D003",
+    "GRIT-F003",
+    "GRIT-F004",
+    "GRIT-H001",
+]
+
+
 class TestRegistry:
     def test_catalog_is_nonempty_sorted_and_unique(self):
         rules = make_rules()
@@ -31,6 +52,9 @@ class TestRegistry:
         assert len(rule_ids) >= 8
         assert rule_ids == sorted(rule_ids)
         assert len(set(rule_ids)) == len(rule_ids)
+
+    def test_catalog_is_exactly_the_kept_rules(self):
+        assert [r.rule_id for r in make_rules()] == KEPT_RULE_IDS
 
     def test_every_rule_has_identity_and_hint(self):
         for r in make_rules():
@@ -96,20 +120,28 @@ class TestEngineMechanics:
         assert len(parse_errors) == 1
         assert parse_errors[0].severity is Severity.ERROR
 
+    def test_unparsable_package_module_becomes_parse_error(self, tmp_path):
+        (tmp_path / "ok.py").write_text("def f(x=[]):\n    return x\n")
+        (tmp_path / "broken.py").write_text("def broken(:\n")
+        findings = LintEngine(tmp_path).run()
+        assert [(f.rule_id, f.path) for f in findings] == [
+            (PARSE_ERROR_RULE_ID, "broken.py"),
+            ("GRIT-H001", "ok.py"),
+        ]
+
     def test_single_walk_dispatch_reaches_all_rules(self, tmp_path):
         fixture = tmp_path / "fixture.py"
         fixture.write_text(
             "import time\n"
             "\n"
             "def f(x=[]):\n"
-            "    try:\n"
-            "        return time.time()\n"
-            "    except:\n"
-            "        return x\n"
+            "    for gpu in page.replicas:\n"
+            "        x.append(time.time())\n"
+            "    return x\n"
         )
         module = parse_module(fixture, "uvm/fixture.py")
         found = {f.rule_id for f in check_module(module, make_rules())}
-        assert {"GRIT-D001", "GRIT-H001", "GRIT-H002"} <= found
+        assert {"GRIT-D001", "GRIT-D003", "GRIT-H001"} <= found
 
 
 class TestReporters:

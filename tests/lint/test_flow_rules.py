@@ -1,7 +1,7 @@
-"""The simflow rules (GRIT-F001..F005, P001/P002) on seeded corpora.
+"""The provenance rules (GRIT-F003, GRIT-F004) on seeded corpora.
 
-Each F-rule has a ``corpus/<rule>_bad`` mini-package it must fire on
-and a ``corpus/<rule>_good`` fixed twin it must stay silent on.  The
+Each rule has a ``corpus/<rule>_bad`` mini-package it must fire on and
+a ``corpus/<rule>_good`` fixed twin it must stay silent on.  The
 corpora are real directory trees (not inline strings) so the passes
 are exercised through the same engine path as ``grit-repro lint``.
 """
@@ -10,7 +10,6 @@ import textwrap
 from pathlib import Path
 
 from repro.lint import LintEngine
-from repro.lint.dataflow import FunctionAnalyzer
 
 CORPUS = Path(__file__).resolve().parent / "corpus"
 
@@ -27,117 +26,6 @@ def make_package(tmp_path, files):
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(textwrap.dedent(text))
     return root
-
-
-class TestTaintRule:
-    def test_fires_on_cross_module_clock_leak(self):
-        hits = lint_corpus("f001_bad", "GRIT-F001")
-        assert len(hits) == 1
-        finding = hits[0]
-        assert finding.path == "sim/engine_mod.py"
-        assert "time.time()" in finding.message
-        assert ".charge" in finding.message
-        notes = [step.note for step in finding.trace]
-        assert any("time.time" in note for note in notes)
-        assert any("returned from stamp()" in note for note in notes)
-        assert any("through call to stamp()" in note for note in notes)
-        assert "reaches" in notes[-1]
-
-    def test_silent_on_fixed_corpus(self):
-        assert lint_corpus("f001_good", "GRIT-F001") == []
-
-    def test_trace_spans_both_modules(self):
-        finding = lint_corpus("f001_bad", "GRIT-F001")[0]
-        paths = {step.path for step in finding.trace}
-        assert paths == {"sim/clockio.py", "sim/engine_mod.py"}
-
-    def test_taint_survives_attribute_stores(self, tmp_path):
-        root = make_package(
-            tmp_path,
-            {
-                "sim/engine.py": """\
-                import time
-
-
-                class Engine:
-                    def start(self):
-                        self._t0 = time.time()
-
-                    def finish(self, breakdown):
-                        breakdown.charge("total", self._t0)
-                """,
-            },
-        )
-        findings = LintEngine(root).run()
-        hits = [f for f in findings if f.rule_id == "GRIT-F001"]
-        assert len(hits) == 1
-        notes = " / ".join(step.note for step in hits[0].trace)
-        assert "stored in self._t0" in notes
-
-    def test_obs_scope_is_exempt(self, tmp_path):
-        root = make_package(
-            tmp_path,
-            {
-                "obs/prof.py": """\
-                import time
-
-
-                def account(breakdown):
-                    breakdown.charge("wall", time.time())
-                """,
-            },
-        )
-        findings = LintEngine(root).run()
-        assert [f for f in findings if f.rule_id == "GRIT-F001"] == []
-
-
-class TestOrderRule:
-    def test_fires_on_helper_returned_set(self):
-        hits = lint_corpus("f002_bad", "GRIT-F002")
-        assert len(hits) == 1
-        finding = hits[0]
-        assert finding.path == "sim/consume.py"
-        assert "holders_of" in finding.message
-        assert any(
-            "returns a set" in step.note for step in finding.trace
-        )
-
-    def test_silent_when_sorted(self):
-        assert lint_corpus("f002_good", "GRIT-F002") == []
-
-    def test_syntactic_sets_in_sim_belong_to_d003(self, tmp_path):
-        root = make_package(
-            tmp_path,
-            {
-                "sim/x.py": """\
-                def total():
-                    acc = 0
-                    for item in {1, 2, 3}:
-                        acc += item
-                    return acc
-                """,
-            },
-        )
-        findings = LintEngine(root).run()
-        assert [f for f in findings if f.rule_id == "GRIT-F002"] == []
-        assert [f for f in findings if f.rule_id == "GRIT-D003"]
-
-    def test_syntactic_sets_outside_d003_scope_are_f002(self, tmp_path):
-        root = make_package(
-            tmp_path,
-            {
-                "harness/x.py": """\
-                def total():
-                    acc = 0
-                    for item in {1, 2, 3}:
-                        acc += item
-                    return acc
-                """,
-            },
-        )
-        findings = LintEngine(root).run()
-        assert [f for f in findings if f.rule_id == "GRIT-D003"] == []
-        assert [f for f in findings if f.rule_id == "GRIT-F002"]
 
 
 class TestConfigProvenance:
@@ -192,107 +80,3 @@ class TestCliProvenance:
 
     def test_silent_on_helper_chain_corpus(self):
         assert lint_corpus("f004_good", "GRIT-F004") == []
-
-
-class TestWorkerSafety:
-    def test_flags_swallow_leak_and_pass_only_handler(self):
-        hits = lint_corpus("f005_bad", "GRIT-F005")
-        assert len(hits) == 3
-        messages = " | ".join(sorted(f.message for f in hits))
-        assert "swallows BaseException" in messages
-        assert "open() outside a with block" in messages
-        assert "silently swallows Exception" in messages
-        assert {f.path for f in hits} == {
-            "harness/worker.py",
-            "harness/jobs.py",
-        }
-
-    def test_silent_on_fixed_corpus(self):
-        assert lint_corpus("f005_good", "GRIT-F005") == []
-
-
-class TestHardening:
-    """The analyzer degrades, it never crashes."""
-
-    def test_syntax_error_degrades_to_parse_finding(self, tmp_path):
-        root = make_package(
-            tmp_path,
-            {
-                "sim/broken.py": "def oops(:\n",
-                "sim/ok.py": """\
-                import time
-
-
-                def account(breakdown):
-                    breakdown.charge("x", time.time())
-                """,
-            },
-        )
-        findings = LintEngine(root).run()
-        assert [f for f in findings if f.rule_id == "GRIT-P000"]
-        # The parseable module still gets the full flow analysis.
-        assert [f for f in findings if f.rule_id == "GRIT-F001"]
-
-    def test_circular_imports_and_recursion_terminate(self, tmp_path):
-        root = make_package(
-            tmp_path,
-            {
-                "sim/a.py": """\
-                from sim.b import pong
-
-
-                def ping(n):
-                    if n <= 0:
-                        return 0
-                    return pong(n - 1)
-                """,
-                "sim/b.py": """\
-                from sim.a import ping
-
-
-                def pong(n):
-                    return ping(n)
-                """,
-            },
-        )
-        findings = LintEngine(root).run()
-        assert isinstance(findings, list)
-
-    def test_dynamic_attribute_degrades_to_p001(self, tmp_path):
-        root = make_package(
-            tmp_path,
-            {
-                "sim/x.py": """\
-                def install(obj, name, value):
-                    setattr(obj, name, value)
-                """,
-            },
-        )
-        findings = LintEngine(root).run()
-        hits = [f for f in findings if f.rule_id == "GRIT-P001"]
-        assert len(hits) == 1
-        assert hits[0].severity.value == "warning"
-        assert "install()" in hits[0].message
-
-    def test_analysis_failure_degrades_to_p002(
-        self, tmp_path, monkeypatch
-    ):
-        root = make_package(
-            tmp_path,
-            {
-                "sim/x.py": """\
-                def fine():
-                    return 1
-                """,
-            },
-        )
-
-        def boom(self):
-            raise RuntimeError("synthetic analyzer bug")
-
-        monkeypatch.setattr(FunctionAnalyzer, "analyze", boom)
-        findings = LintEngine(root).run()
-        hits = [f for f in findings if f.rule_id == "GRIT-P002"]
-        assert hits, findings
-        assert hits[0].severity.value == "warning"
-        assert "synthetic analyzer bug" in hits[0].message

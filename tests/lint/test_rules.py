@@ -178,31 +178,6 @@ class TestMutableDefaultRule:
         assert lint(clean, relpath="harness/fixture.py") == []
 
 
-class TestBareExceptRule:
-    def test_flags_bare_except(self):
-        findings = lint(
-            """
-            def load():
-                try:
-                    return read()
-                except:
-                    return None
-            """,
-            relpath="workloads/fixture.py",
-        )
-        assert ids(findings) == ["GRIT-H002"]
-
-    def test_named_exceptions_are_clean(self):
-        clean = """
-        def load():
-            try:
-                return read()
-            except (OSError, ValueError):
-                return None
-        """
-        assert lint(clean, relpath="workloads/fixture.py") == []
-
-
 class TestLatencyChargeRule:
     def test_flags_literal_category(self):
         findings = lint(

@@ -5,16 +5,22 @@ The pipeline refactor must be invisible at ``fault_batch_size == 1``:
 pre-pipeline simulator (32 workload x policy runs), and the refactored
 engine must reproduce every captured field bit-for-bit.  Batched runs
 have no golden — batching deliberately changes timing — so they are
-checked for determinism and for the batching model's invariants.
+checked for determinism and for the batching model's invariants.  A
+hash-seed check confirms runs do not depend on the interpreter's
+``PYTHONHASHSEED``.
 """
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.config import SystemConfig
-from repro.policies import make_policy
+from repro.policies import available_policies, make_policy
 from repro.sim.engine import simulate
 from repro.workloads.registry import make_workload
 
@@ -104,6 +110,67 @@ class TestScaleOutGolden:
             capture = GOLDEN_8GPU[key]
             assert capture["details"]["topology"] == "nvswitch:4", key
             assert len(capture["per_gpu_cycles"]) == 8, key
+
+
+#: Runs every registered policy on st and bfs and prints the results
+#: as JSON; executed in a fresh interpreter per hash seed.
+_HASH_SEED_SCRIPT = """
+import json
+from repro.config import SystemConfig
+from repro.policies import available_policies, make_policy
+from repro.sim.engine import simulate
+from repro.workloads.registry import make_workload
+
+out = {}
+for workload in ("st", "bfs"):
+    trace = make_workload(workload, num_gpus=4, scale=0.05)
+    for policy in available_policies():
+        result = simulate(SystemConfig(num_gpus=4), trace, make_policy(policy))
+        out[workload + "/" + policy] = {
+            "total_cycles": result.total_cycles,
+            "per_gpu_cycles": result.per_gpu_cycles,
+            "counters": result.counters.as_dict(),
+            "scheme_usage": sorted(
+                (scheme.name, count)
+                for scheme, count in result.counters.scheme_usage.items()
+            ),
+            "breakdown": result.breakdown.as_dict(),
+        }
+print(json.dumps(out, sort_keys=True))
+"""
+
+
+class TestHashSeedDeterminism:
+    """Results do not depend on the interpreter's hash seed.
+
+    Plain ``Enum`` members hash by name, so a set of ``Mechanic`` or
+    ``EventKind`` values (or of strings) iterates in an order the seed
+    decides.  Two fresh interpreters with different ``PYTHONHASHSEED``
+    values must produce identical runs under every registered policy.
+    """
+
+    def test_runs_identical_under_two_hash_seeds(self):
+        src_dir = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        procs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [src_dir, env.get("PYTHONPATH")])
+            )
+            procs.append(
+                subprocess.Popen(
+                    [sys.executable, "-c", _HASH_SEED_SCRIPT],
+                    env=env,
+                    stdout=subprocess.PIPE,
+                    text=True,
+                )
+            )
+        outputs = [proc.communicate(timeout=300)[0] for proc in procs]
+        assert [proc.returncode for proc in procs] == [0, 0]
+        seed0, seed1 = (json.loads(text) for text in outputs)
+        assert len(seed0) == 2 * len(available_policies())
+        for key in sorted(seed0):
+            assert seed0[key] == seed1[key], key
 
 
 class TestBatchedServicing:
