@@ -6,9 +6,9 @@ Commands:
 * ``run`` — simulate one (workload, policy) pair and print the summary.
 * ``figure`` — regenerate paper figures (text / JSON / CSV, optional
   disk cache).
-* ``sweep`` — tabulate a workload x policy matrix through the
-  resilient sweep orchestrator (parallel workers, per-task timeout,
-  retry with backoff, shared disk cache, crash injection for drills).
+* ``sweep`` — tabulate a workload x policy matrix, simulated in this
+  process or in a pool of ``--workers`` processes (optionally over a
+  shared disk cache); ``--summary-json`` writes per-run result digests.
 * ``report`` — write the full markdown reproduction report (+ SVG
   charts).
 * ``characterize`` — print a workload's sharing/RW characterization.
@@ -27,7 +27,6 @@ Commands:
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Sequence
 
@@ -263,7 +262,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="pre-warm the figure runs over this many sweep workers",
+        help="simulate the runs the figures share in a pool of this "
+        "many worker processes first (1: each run in this process)",
     )
 
     dump = sub.add_parser(
@@ -298,7 +298,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="process-parallel simulation workers",
+        help="simulate the matrix in a pool of this many worker "
+        "processes (1: each run in this process)",
     )
     sweep.add_argument(
         "--metric",
@@ -306,63 +307,18 @@ def _build_parser() -> argparse.ArgumentParser:
         default="speedup",
     )
     sweep.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-task wall-clock budget (parallel workers only)",
-    )
-    sweep.add_argument(
-        "--retries",
-        type=int,
-        default=2,
-        help="re-attempts per task after a crash/timeout/error",
-    )
-    sweep.add_argument(
         "--cache",
         metavar="DIR",
         default=None,
-        help="shared on-disk result cache for the sweep workers",
+        help="persist simulation results under DIR and reuse them "
+        "(shared by the sweep workers)",
     )
     sweep.add_argument(
         "--summary-json",
         metavar="PATH",
         default=None,
-        help="write the sweep summary (retries, failures, per-key "
-        "result digests) as JSON to PATH",
-    )
-    sweep.add_argument(
-        "--inject-crash",
-        metavar="WORKLOAD:POLICY",
-        default=None,
-        help="chaos drill: crash the first attempt of one task and "
-        "verify the orchestrator retries it",
-    )
-    sweep.add_argument(
-        "--trace",
-        metavar="PATH",
-        default=None,
-        help="merge every task's spans into one sweep-wide Chrome "
-        "trace (one process row per task) at PATH",
-    )
-    sweep.add_argument(
-        "--metrics",
-        metavar="PATH",
-        default=None,
-        help="merge every task's counters into one registry export "
-        "at PATH",
-    )
-    sweep.add_argument(
-        "--metrics-format",
-        choices=["jsonl", "csv", "prom"],
-        default="jsonl",
-    )
-    sweep.add_argument(
-        "--telemetry-dir",
-        metavar="DIR",
-        default=None,
-        help="spill oversized per-task telemetry to files in DIR "
-        "instead of the result pipe",
+        help="write each run's total cycles and result digest as JSON "
+        "to PATH (the same bytes for any --workers)",
     )
 
     lint = sub.add_parser(
@@ -707,15 +663,20 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from repro.harness.orchestrator import SweepError
     from repro.harness.reproduce import generate_report
 
     runner = _build_runner(args.scale, args.cache, args.artifacts)
-    text = generate_report(
-        scale=args.scale,
-        runner=runner,
-        charts_dir=args.charts,
-        workers=args.workers,
-    )
+    try:
+        text = generate_report(
+            scale=args.scale,
+            runner=runner,
+            charts_dir=args.charts,
+            workers=args.workers,
+        )
+    except SweepError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     with open(args.output, "w", encoding="utf-8") as handle:
         handle.write(text)
     print(f"wrote {args.output}")
@@ -753,73 +714,66 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
     return 0
 
 
+def _names(text: str) -> list[str]:
+    return [name.strip() for name in text.split(",") if name.strip()]
+
+
+def _sweep_input_error(
+    workloads: list[str], policies: list[str], args: argparse.Namespace
+) -> str | None:
+    """The first bad ``sweep`` argument, described; None when valid."""
+    checks = (
+        ("--workloads", workloads, available_workloads()),
+        ("--policies", policies, available_policies()),
+        ("--baseline", [args.baseline], available_policies()),
+    )
+    for flag, names, valid in checks:
+        for name in names:
+            if name not in valid:
+                return (
+                    f"{flag}: unknown name {name!r} "
+                    f"(choose from {', '.join(valid)})"
+                )
+    if args.workers < 1:
+        return f"--workers must be at least 1, got {args.workers}"
+    return None
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     import json
 
+    from repro.harness.cache import result_digest
     from repro.harness.experiment import PAPER_APPS
-    from repro.harness.orchestrator import run_sweep
+    from repro.harness.orchestrator import SweepError, warm_runner_parallel
 
     workloads = (
-        list(PAPER_APPS)
-        if args.workloads == "all"
-        else [
-            name.strip()
-            for name in args.workloads.split(",")
-            if name.strip()
-        ]
+        list(PAPER_APPS) if args.workloads == "all" else _names(args.workloads)
     )
-    policies = [
-        name.strip() for name in args.policies.split(",") if name.strip()
-    ]
+    policies = _names(args.policies)
+    error = _sweep_input_error(workloads, policies, args)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     if args.baseline not in policies:
         policies = [args.baseline, *policies]
     runner = _build_runner(args.scale, args.cache)
-    keys = [
-        runner.key(workload, policy, num_gpus=args.gpus)
+    keys = {
+        (workload, policy): runner.key(workload, policy, num_gpus=args.gpus)
         for workload in workloads
         for policy in policies
-    ]
-    observe = bool(args.trace or args.metrics)
-    summary = run_sweep(
-        keys,
-        base_config=runner.base_config,
-        workers=args.workers,
-        timeout=args.timeout,
-        retries=args.retries,
-        cache_dir=args.cache,
-        injections=_sweep_injections(args, keys),
-        progress=lambda line: print(f"  {line}", file=sys.stderr),
-        observe=observe,
-        telemetry_dir=args.telemetry_dir,
-    )
-    runner._cache.update(summary.results)
-    if observe:
-        status = _write_sweep_telemetry(args, summary)
-        if status != 0:
-            return status
-    if args.summary_json:
-        with open(args.summary_json, "w", encoding="utf-8") as handle:
-            json.dump(summary.to_dict(), handle, indent=2)
-        print(f"wrote {args.summary_json}", file=sys.stderr)
-    if summary.failed_keys():
-        print(summary.render(), file=sys.stderr)
-        for key in summary.failed_keys():
-            print(
-                f"error: {key.workload}/{key.policy} failed after "
-                f"retries",
-                file=sys.stderr,
-            )
-        return 1
+    }
+    if args.workers > 1:
+        try:
+            warm_runner_parallel(runner, keys.values(), workers=args.workers)
+        except SweepError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     rows = {}
     for workload in workloads:
-        base = runner.run(
-            runner.key(workload, args.baseline, num_gpus=args.gpus)
-        )
+        base = runner.run(keys[workload, args.baseline])
         cells = []
         for policy in policies:
-            result = runner.run(
-                runner.key(workload, policy, num_gpus=args.gpus)
-            )
+            result = runner.run(keys[workload, policy])
             if args.metric == "speedup":
                 cells.append(result.speedup_over(base))
             elif args.metric == "cycles":
@@ -832,89 +786,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             policies, rows, row_header=f"{args.metric} @{args.gpus}g"
         )
     )
-    print(summary.render(), file=sys.stderr)
+    if args.summary_json:
+        summary = {}
+        for (workload, policy), key in keys.items():
+            result = runner.run(key)
+            summary[f"{workload}/{policy}"] = {
+                "total_cycles": result.total_cycles,
+                "digest": result_digest(result),
+            }
+        with open(args.summary_json, "w", encoding="utf-8") as handle:
+            json.dump(summary, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        print(f"wrote {args.summary_json}", file=sys.stderr)
     return 0
-
-
-def _write_sweep_telemetry(args: argparse.Namespace, summary) -> int:
-    """Write the merged sweep trace and/or metrics export.
-
-    Runs before the failed-keys check so a partially-failed sweep
-    still leaves its successful tasks' telemetry on disk.
-    """
-    import json
-
-    from repro.obs.aggregate import merge_chrome_trace, merge_registry
-    from repro.obs.trace_schema import validate_trace_file
-
-    telemetries = list(summary.telemetry.values())
-    if not telemetries:
-        print(
-            "warning: sweep produced no telemetry (all tasks failed?)",
-            file=sys.stderr,
-        )
-        return 0
-    if args.trace:
-        document = merge_chrome_trace(
-            telemetries,
-            metadata={"scale": args.scale, "gpus": args.gpus},
-        )
-        with open(args.trace, "w", encoding="utf-8") as handle:
-            json.dump(document, handle)
-        errors = validate_trace_file(args.trace)
-        if errors:
-            for error in errors:
-                print(f"error: {error}", file=sys.stderr)
-            return 1
-        print(
-            f"wrote {args.trace} "
-            f"({len(document['traceEvents'])} events, "
-            f"{len(telemetries)} task processes)"
-        )
-    if args.metrics:
-        registry = merge_registry(telemetries)
-        if args.metrics_format == "csv":
-            payload = registry.to_csv()
-        elif args.metrics_format == "prom":
-            payload = registry.to_prometheus()
-        else:
-            payload = registry.to_jsonl()
-        with open(args.metrics, "w", encoding="utf-8") as handle:
-            handle.write(payload)
-        print(f"wrote {args.metrics}")
-    return 0
-
-
-def _sweep_injections(args: argparse.Namespace, keys):
-    """Build the --inject-crash failure map (None when unused)."""
-    if not args.inject_crash:
-        return None
-    import tempfile
-
-    from repro.harness.orchestrator import FaultInjection
-
-    try:
-        workload, policy = args.inject_crash.split(":", 1)
-    except ValueError:
-        raise SystemExit(
-            "--inject-crash expects WORKLOAD:POLICY"
-        ) from None
-    targets = [
-        key
-        for key in keys
-        if key.workload == workload and key.policy == policy
-    ]
-    if not targets:
-        raise SystemExit(
-            f"--inject-crash target {args.inject_crash!r} is not in "
-            f"the sweep"
-        )
-    marker_dir = tempfile.mkdtemp(prefix="grit-inject-")
-    return {
-        targets[0]: FaultInjection(
-            marker_path=os.path.join(marker_dir, "fired"), mode="crash"
-        )
-    }
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
@@ -926,8 +810,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
     if args.list_rules:
         for rule in make_rules():
-            print(f"{rule.rule_id}  [{rule.severity.name.lower():7s}] "
-                  f"{rule.description}")
+            print(f"{rule.rule_id}  {rule.description}")
         return 0
     package_root = Path(__file__).resolve().parent
     repo_root = package_root.parent.parent

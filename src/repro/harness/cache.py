@@ -80,6 +80,16 @@ def _serialize(result: SimulationResult) -> Dict[str, object]:
     }
 
 
+def result_digest(result: SimulationResult) -> str:
+    """Stable hash of everything the figures consume from a result.
+
+    Two runs with equal digests are bit-identical in cycles, counters,
+    and latency breakdown — the equivalence the CI sweep smoke checks.
+    """
+    payload = json.dumps(_serialize(result), sort_keys=True)
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+
+
 def _deserialize(data: Dict[str, object]) -> SimulationResult:
     if data.get("schema_version") != SCHEMA_VERSION:
         raise StaleCacheEntry(
@@ -125,13 +135,11 @@ class DiskCachedRunner(ExperimentRunner):
         base_config: SystemConfig | None = None,
         scale: float = 0.3,
         artifacts_dir: str | None = None,
-        observe: bool = False,
     ) -> None:
         super().__init__(
             base_config=base_config,
             scale=scale,
             artifacts_dir=artifacts_dir,
-            observe=observe,
         )
         self.cache_dir = str(cache_dir)
         os.makedirs(self.cache_dir, exist_ok=True)
@@ -150,7 +158,6 @@ class DiskCachedRunner(ExperimentRunner):
         if result is not None:
             self._cache[key] = result
             self.disk_hits += 1
-            self.last_observation = None
             return result
         result = super().run(key)
         self.disk_misses += 1

@@ -72,25 +72,16 @@ class ExperimentRunner:
         base_config: SystemConfig | None = None,
         scale: float = DEFAULT_SCALE,
         artifacts_dir: str | None = None,
-        observe: bool = False,
     ) -> None:
         self.base_config = base_config or SystemConfig()
         self.scale = scale
         self.artifacts_dir = artifacts_dir
-        #: Attach a :class:`~repro.obs.RunObservation` to every fresh
-        #: simulation even without an artifacts directory; the sweep
-        #: workers use this to ship telemetry back to the orchestrator.
-        self.observe = observe
-        #: The observation of the most recent *fresh* simulation
-        #: (None after a cache hit — cached results carry no spans).
-        self.last_observation = None
         self._cache: Dict[RunKey, SimulationResult] = {}
 
     def run(self, key: RunKey) -> SimulationResult:
         """Fetch (simulating on first use) the result for ``key``."""
         cached = self._cache.get(key)
         if cached is not None:
-            self.last_observation = None
             return cached
         from repro.constants import EvictionPolicy
 
@@ -114,7 +105,7 @@ class ExperimentRunner:
         policy = self._build_policy(key)
         prefetcher = TreePrefetcher() if key.prefetch else None
         observation = None
-        if self.artifacts_dir is not None or self.observe:
+        if self.artifacts_dir is not None:
             from repro.obs import RunObservation
 
             observation = RunObservation()
@@ -126,9 +117,8 @@ class ExperimentRunner:
             observation=observation,
         )
         result = engine.run()
-        if observation is not None and self.artifacts_dir is not None:
+        if observation is not None:
             self._export_artifacts(key, result, observation)
-        self.last_observation = observation
         self._cache[key] = result
         return result
 

@@ -854,6 +854,14 @@ def run_figure(
     return builder(runner or ExperimentRunner())
 
 
+def headline_keys(runner: ExperimentRunner) -> List[RunKey]:
+    """The run set behind Figures 1/17/18/19 — the usual warm-up."""
+    policies = ("on_touch", "access_counter", "duplication", "grit", "ideal")
+    return [
+        runner.key(app, policy) for app in PAPER_APPS for policy in policies
+    ]
+
+
 def warmup_keys(runner: ExperimentRunner) -> List[RunKey]:
     """Keys behind the hottest shared figure runs, for pre-warming.
 
@@ -862,8 +870,6 @@ def warmup_keys(runner: ExperimentRunner) -> List[RunKey]:
     share.  Figure-specific sweeps (GPU scaling, thresholds, ...) are
     cheap by comparison and simulate lazily.
     """
-    from repro.harness.orchestrator import headline_keys
-
     keys = headline_keys(runner)
     ablation_variants = (
         dict(use_pa_cache=False, use_neighbor_prediction=False),

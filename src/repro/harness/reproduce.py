@@ -13,7 +13,13 @@ import time
 from typing import Iterable
 
 from repro.harness.experiment import ExperimentRunner
-from repro.harness.figures import FIGURES, FigureData, run_figure
+from repro.harness.figures import (
+    FIGURES,
+    FigureData,
+    run_figure,
+    warmup_keys,
+)
+from repro.harness.orchestrator import warm_runner_parallel
 from repro.harness.report import format_table
 
 
@@ -44,14 +50,17 @@ def generate_report(
 
     When ``charts_dir`` is given, an SVG bar chart is written there for
     every figure with numeric cells, and the report embeds it.  With
-    ``workers > 1`` the runs the figures share are pre-warmed through
-    the resilient sweep orchestrator before the (sequential) figure
-    functions consume them from cache.
+    ``workers > 1`` the runs the figures share
+    (:func:`~repro.harness.figures.warmup_keys`) are simulated first in
+    a pool of that many worker processes, and the figure functions
+    read them from the runner's cache; a failing run raises
+    :class:`~repro.harness.orchestrator.SweepError`.  Otherwise every
+    run is simulated in this process when a figure first asks for it.
     """
     runner = runner or ExperimentRunner(scale=scale)
     names = sorted(figures) if figures is not None else sorted(FIGURES)
     if workers > 1:
-        _prewarm(runner, workers)
+        warm_runner_parallel(runner, warmup_keys(runner), workers=workers)
     started = time.time()
     if charts_dir is not None:
         os.makedirs(charts_dir, exist_ok=True)
@@ -90,23 +99,6 @@ def generate_report(
         ]
     )
     return header + "\n" + "\n".join(sections)
-
-
-def _prewarm(runner: ExperimentRunner, workers: int) -> None:
-    """Populate the runner's cache via the sweep orchestrator."""
-    from repro.harness.figures import warmup_keys
-    from repro.harness.orchestrator import run_sweep
-
-    summary = run_sweep(
-        warmup_keys(runner),
-        base_config=runner.base_config,
-        workers=workers,
-        cache_dir=getattr(runner, "cache_dir", None),
-        artifacts_dir=runner.artifacts_dir,
-    )
-    # Failed keys (if any) fall back to inline simulation when a
-    # figure asks for them; pre-warming is best-effort.
-    runner._cache.update(summary.results)
 
 
 def _maybe_write_chart(

@@ -29,13 +29,12 @@ from repro.lint.engine import (
     registered_rules,
     rule,
 )
-from repro.lint.findings import Finding, Severity, exit_code
+from repro.lint.findings import Finding, exit_code
 from repro.lint.report import render_json, render_text
 from repro.lint.symbols import ModuleInfo, SymbolTable
 
 __all__ = [
     "Finding",
-    "Severity",
     "exit_code",
     "LintEngine",
     "FileRule",

@@ -20,7 +20,7 @@ import ast
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Tuple, Type
 
-from repro.lint.findings import Finding, Severity
+from repro.lint.findings import Finding
 from repro.lint.symbols import ModuleInfo, SymbolTable, parse_module
 
 #: Rule id reserved for files the engine cannot parse.
@@ -34,8 +34,6 @@ class Rule:
     rule_id: str = ""
     #: One-line summary shown by ``lint --list-rules`` and the docs.
     description: str = ""
-    #: Default severity of this rule's findings.
-    severity: Severity = Severity.ERROR
     #: Default fix hint attached to findings (rules may override per
     #: finding).
     hint: str = ""
@@ -58,7 +56,6 @@ class Rule:
         """Build a finding anchored at ``node`` in ``module``."""
         return Finding(
             rule_id=self.rule_id,
-            severity=self.severity,
             path=module.relpath,
             line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0),
@@ -182,7 +179,6 @@ class LintEngine:
         findings: List[Finding] = [
             Finding(
                 rule_id=PARSE_ERROR_RULE_ID,
-                severity=Severity.ERROR,
                 path=relpath,
                 line=line,
                 message=f"file does not parse: {message}",
@@ -238,7 +234,6 @@ class LintEngine:
         except SyntaxError as exc:
             return Finding(
                 rule_id=PARSE_ERROR_RULE_ID,
-                severity=Severity.ERROR,
                 path=relpath,
                 line=exc.lineno or 1,
                 message=f"file does not parse: {exc.msg}",
@@ -247,7 +242,6 @@ class LintEngine:
         except OSError as exc:
             return Finding(
                 rule_id=PARSE_ERROR_RULE_ID,
-                severity=Severity.ERROR,
                 path=relpath,
                 line=1,
                 message=f"cannot read file: {exc.strerror or exc}",

@@ -1,26 +1,14 @@
 """Finding records produced by simlint rules.
 
 A :class:`Finding` pins one rule violation to a ``file:line`` location
-with a severity and an actionable fix hint.  Findings are value objects:
-reporters (text, JSON) and the CLI exit code are derived from them, and
-tests compare them directly.
+with an actionable fix hint.  Every finding fails the lint run.
+Findings are value objects: reporters (text, JSON) and the CLI exit
+code are derived from them, and tests compare them directly.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import enum
-
-
-class Severity(enum.Enum):
-    """How seriously a finding should be taken.
-
-    ``ERROR`` findings fail the lint run (nonzero exit); ``WARNING``
-    findings are reported but do not gate.
-    """
-
-    WARNING = "warning"
-    ERROR = "error"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -28,7 +16,6 @@ class Finding:
     """One rule violation at one source location."""
 
     rule_id: str
-    severity: Severity
     path: str
     line: int
     message: str
@@ -48,7 +35,6 @@ class Finding:
         """JSON-friendly representation (the JSON reporter's rows)."""
         return {
             "rule": self.rule_id,
-            "severity": self.severity.value,
             "path": self.path,
             "line": self.line,
             "col": self.col,
@@ -60,7 +46,7 @@ class Finding:
         """One text-reporter block for this finding."""
         text = (
             f"{self.path}:{self.line}:{self.col}: "
-            f"{self.rule_id} [{self.severity.value}] {self.message}"
+            f"{self.rule_id} {self.message}"
         )
         if self.hint:
             text += f"\n    hint: {self.hint}"
@@ -68,7 +54,5 @@ class Finding:
 
 
 def exit_code(findings: list[Finding]) -> int:
-    """CLI exit code for a finding list (1 when any error, else 0)."""
-    if any(f.severity is Severity.ERROR for f in findings):
-        return 1
-    return 0
+    """CLI exit code for a finding list (1 when any, else 0)."""
+    return 1 if findings else 0

@@ -86,7 +86,6 @@ class EventEmissionRule(ProjectRule):
             if not used_elsewhere:
                 yield Finding(
                     rule_id=self.rule_id,
-                    severity=self.severity,
                     path=_EVENTS_PATH,
                     line=line,
                     message=(
@@ -223,7 +222,6 @@ class MechanicExecutorRule(ProjectRule):
             if member not in registered:
                 yield Finding(
                     rule_id=self.rule_id,
-                    severity=self.severity,
                     path=_POLICIES_BASE_PATH,
                     line=line,
                     message=(

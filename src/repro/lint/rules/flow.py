@@ -62,7 +62,6 @@ class ConfigProvenanceRule(ProjectRule):
                 continue
             yield Finding(
                 rule_id=self.rule_id,
-                severity=self.severity,
                 path=info.relpath,
                 line=line,
                 message=(
@@ -200,7 +199,6 @@ class ConfigProvenanceRule(ProjectRule):
             if name not in read_vars:
                 yield Finding(
                     rule_id=self.rule_id,
-                    severity=self.severity,
                     path=path,
                     line=line,
                     message=(
@@ -212,7 +210,6 @@ class ConfigProvenanceRule(ProjectRule):
             elif name not in config_source:
                 yield Finding(
                     rule_id=self.rule_id,
-                    severity=self.severity,
                     path=path,
                     line=line,
                     message=(
@@ -303,7 +300,6 @@ class CliProvenanceRule(ProjectRule):
             if cmd not in handlers:
                 yield Finding(
                     rule_id=self.rule_id,
-                    severity=self.severity,
                     path=info.relpath,
                     line=parser_lines[cmd],
                     message=(
@@ -324,7 +320,6 @@ class CliProvenanceRule(ProjectRule):
                     continue
                 yield Finding(
                     rule_id=self.rule_id,
-                    severity=self.severity,
                     path=info.relpath,
                     line=line,
                     message=(

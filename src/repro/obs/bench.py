@@ -213,8 +213,8 @@ def run_case(
     """Measure one case ``repeats`` times.
 
     ``inject_slowdown`` adds that many wall seconds to every repetition
-    — a CI drill (like the sweep's ``--inject-crash``) proving the
-    gate actually fires; it never touches simulated behaviour.
+    — a CI drill proving the gate actually fires; it never touches
+    simulated behaviour.
     """
     from repro.obs.profile import profile_run
 

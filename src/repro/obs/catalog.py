@@ -56,26 +56,6 @@ DRAM_PEAK_OCCUPANCY = "memsys.dram.peak_occupancy"
 UVM_FAULT_SERVICE_CYCLES = "uvm.fault.service_cycles"
 UVM_MIGRATION_CYCLES = "uvm.migration.cycles"
 
-# -- harness sweep counters (emitted by the sweep orchestrator, not by
-#    the per-run sampler; see repro.harness.orchestrator) --------------
-
-SWEEP_TASKS = "harness.sweep.tasks.total"
-SWEEP_COMPLETED = "harness.sweep.completed.total"
-SWEEP_RETRIES = "harness.sweep.retries.total"
-SWEEP_FAILURES = "harness.sweep.failures.total"
-SWEEP_TIMEOUTS = "harness.sweep.timeouts.total"
-SWEEP_CRASHES = "harness.sweep.crashes.total"
-
-# -- harness sweep worker-telemetry counters (cross-process
-#    observability: what the workers shipped back to the orchestrator;
-#    see repro.obs.aggregate) -----------------------------------------
-
-SWEEP_WORKER_SPANS = "harness.sweep.worker.spans.total"
-SWEEP_WORKER_DROPPED_SPANS = "harness.sweep.worker.dropped_spans.total"
-SWEEP_WORKER_DROPPED_EVENTS = "harness.sweep.worker.dropped_events.total"
-SWEEP_WORKER_TELEMETRY_BYTES = "harness.sweep.worker.telemetry_bytes.total"
-SWEEP_WORKER_SPILLS = "harness.sweep.worker.spills.total"
-
 # -- perf-trajectory counters (emitted by the repro bench harness; see
 #    repro.obs.bench) --------------------------------------------------
 
@@ -166,67 +146,6 @@ METRICS: Tuple[MetricSpec, ...] = (
 )
 
 
-#: Sweep-orchestrator metrics: registered by
-#: :func:`build_sweep_registry`, not per simulated run — a sweep spans
-#: many runs, so its counters would only pollute per-run exports.
-SWEEP_METRICS: Tuple[MetricSpec, ...] = (
-    _counter(
-        SWEEP_TASKS, "unique sweep tasks scheduled", unit="tasks"
-    ),
-    _counter(
-        SWEEP_COMPLETED,
-        "sweep tasks that produced a result",
-        unit="tasks",
-    ),
-    _counter(
-        SWEEP_RETRIES,
-        "failed attempts re-enqueued with backoff",
-        unit="attempts",
-    ),
-    _counter(
-        SWEEP_FAILURES,
-        "sweep tasks that exhausted their retries",
-        unit="tasks",
-    ),
-    _counter(
-        SWEEP_TIMEOUTS,
-        "attempts killed for exceeding the per-task timeout",
-        unit="attempts",
-    ),
-    _counter(
-        SWEEP_CRASHES,
-        "worker processes that died without reporting a result",
-        unit="attempts",
-    ),
-    _counter(
-        SWEEP_WORKER_SPANS,
-        "spans collected from worker telemetry payloads",
-        unit="spans",
-    ),
-    _counter(
-        SWEEP_WORKER_DROPPED_SPANS,
-        "spans worker tracers dropped past capacity",
-        unit="spans",
-    ),
-    _counter(
-        SWEEP_WORKER_DROPPED_EVENTS,
-        "machine events worker event logs dropped past capacity",
-    ),
-    _counter(
-        SWEEP_WORKER_TELEMETRY_BYTES,
-        "serialized telemetry bytes shipped over the result pipe "
-        "or spilled to artifact files",
-        unit="bytes",
-    ),
-    _counter(
-        SWEEP_WORKER_SPILLS,
-        "telemetry payloads too large for the pipe, spilled to "
-        "artifact files instead",
-        unit="payloads",
-    ),
-)
-
-
 #: Perf-trajectory metrics: registered by :func:`build_bench_registry`
 #: for ``repro bench`` runs (wall-clock domain, never per simulated
 #: run).
@@ -251,14 +170,6 @@ def build_registry() -> MetricsRegistry:
     """A fresh registry with the whole per-run catalogue registered."""
     registry = MetricsRegistry()
     for spec in METRICS:
-        registry.register(spec)
-    return registry
-
-
-def build_sweep_registry() -> MetricsRegistry:
-    """A fresh registry with the sweep-orchestrator metrics."""
-    registry = MetricsRegistry()
-    for spec in SWEEP_METRICS:
         registry.register(spec)
     return registry
 

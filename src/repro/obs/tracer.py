@@ -199,16 +199,12 @@ def _track_sort_key(track: str) -> Tuple[int, int, str]:
 def trace_events(
     spans: Sequence[Span],
     counter_samples: Sequence[Tuple[int, str, float]] = (),
-    pid: int = 0,
-    process_name: str = "GRIT simulator (cycles as us)",
 ) -> List[dict]:
-    """Render spans (and metric samples) as trace events for one pid.
+    """Render spans (and metric samples) as trace events.
 
     ``M`` metadata events name the process and its per-track threads,
     ``X``/``i`` events carry the spans, and ``C`` events carry the
-    counter samples.  The sweep aggregator calls this once per worker
-    task with a distinct ``pid``, so every task renders as its own
-    process row while keeping per-GPU ``tid`` tracks.
+    counter samples.
     """
     tracks = sorted(
         {span.track for span in spans}, key=_track_sort_key
@@ -218,9 +214,9 @@ def trace_events(
         {
             "ph": "M",
             "name": "process_name",
-            "pid": pid,
+            "pid": 0,
             "tid": 0,
-            "args": {"name": process_name},
+            "args": {"name": "GRIT simulator (cycles as us)"},
         }
     ]
     for track in tracks:
@@ -228,7 +224,7 @@ def trace_events(
             {
                 "ph": "M",
                 "name": "thread_name",
-                "pid": pid,
+                "pid": 0,
                 "tid": tids[track],
                 "args": {"name": track},
             }
@@ -238,7 +234,7 @@ def trace_events(
             "name": span.name,
             "cat": "sim",
             "ts": span.start,
-            "pid": pid,
+            "pid": 0,
             "tid": tids[span.track],
             "args": dict(span.args),
         }
@@ -256,7 +252,7 @@ def trace_events(
                 "name": name,
                 "cat": "metrics",
                 "ts": ts,
-                "pid": pid,
+                "pid": 0,
                 "args": {"value": value},
             }
         )

@@ -10,7 +10,6 @@ from repro.lint import (
     FileRule,
     Finding,
     LintEngine,
-    Severity,
     exit_code,
     lint_source,
     make_rules,
@@ -118,7 +117,6 @@ class TestEngineMechanics:
             f for f in findings if f.rule_id == PARSE_ERROR_RULE_ID
         ]
         assert len(parse_errors) == 1
-        assert parse_errors[0].severity is Severity.ERROR
 
     def test_unparsable_package_module_becomes_parse_error(self, tmp_path):
         (tmp_path / "ok.py").write_text("def f(x=[]):\n    return x\n")
@@ -149,7 +147,6 @@ class TestReporters:
         return [
             Finding(
                 rule_id="GRIT-T001",
-                severity=Severity.ERROR,
                 path="uvm/x.py",
                 line=3,
                 col=4,
@@ -158,7 +155,6 @@ class TestReporters:
             ),
             Finding(
                 rule_id="GRIT-T002",
-                severity=Severity.WARNING,
                 path="sim/y.py",
                 line=9,
                 message="hmm",
@@ -167,22 +163,23 @@ class TestReporters:
 
     def test_text_report(self):
         text = render_text(self._findings())
-        assert "uvm/x.py:3:4: GRIT-T001 [error] boom" in text
+        assert "uvm/x.py:3:4: GRIT-T001 boom" in text
         assert "hint: do not boom" in text
-        assert "simlint: 1 error(s), 1 warning(s)" in text
+        assert text.endswith("simlint: 2 error(s)")
         assert render_text([]) == "simlint: no findings"
 
     def test_json_report_round_trips(self):
         data = json.loads(render_json(self._findings()))
-        assert data["errors"] == 1
-        assert data["warnings"] == 1
+        assert data["errors"] == 2
+        assert "warnings" not in data
+        assert "severity" not in data["findings"][0]
         assert data["findings"][0]["rule"] == "GRIT-T001"
         assert data["findings"][0]["line"] == 3
 
     def test_exit_code_policy(self):
         findings = self._findings()
         assert exit_code(findings) == 1
-        assert exit_code([findings[1]]) == 0  # warnings do not gate
+        assert exit_code([findings[1]]) == 1  # every finding gates
         assert exit_code([]) == 0
 
 

@@ -1,5 +1,7 @@
 """Perf-trajectory benchmarks: baselines and the regression gate."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.obs import bench
@@ -196,3 +198,25 @@ class TestSelection:
         monkeypatch.setenv(bench.SCALE_ENV_VAR, "banana")
         with pytest.raises(BenchError):
             bench.default_scale()
+
+
+#: The committed seed baselines (read here, never rewritten).
+COMMITTED_BASELINES = (
+    Path(__file__).resolve().parents[2] / "benchmarks" / "baselines"
+)
+
+
+class TestCommittedBaselines:
+    """Every simulator mode the bench suite covers (queued contention,
+    64 KiB pages, the 8-GPU switched fabric) stays on its committed
+    counters."""
+
+    @pytest.mark.parametrize(
+        "case", bench.DEFAULT_CASES, ids=lambda case: case.name
+    )
+    def test_counters_match_committed_baseline(self, case):
+        baseline = load_baseline(
+            bench.baseline_path(str(COMMITTED_BASELINES), case.name)
+        )
+        measured = run_case(case, scale=baseline["scale"], repeats=1)
+        assert measured.counters == baseline["counters"]

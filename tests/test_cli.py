@@ -127,54 +127,64 @@ class TestSweep:
         )
         assert "faults" in capsys.readouterr().out
 
-
-class TestSweepTelemetry:
-    def test_trace_and_metrics_merge_across_workers(
-        self, tmp_path, capsys
-    ):
+    def test_summary_json_is_the_same_for_any_workers(self, tmp_path):
         import json
 
-        from repro.obs.trace_schema import validate_trace_file
+        paths = [tmp_path / "par.json", tmp_path / "seq.json"]
+        for path, workers in zip(paths, ["2", "1"]):
+            argv = [
+                "sweep",
+                "--workloads",
+                "fir",
+                "--policies",
+                "grit",
+                "--scale",
+                "0.05",
+                "--workers",
+                workers,
+                "--summary-json",
+                str(path),
+            ]
+            assert main(argv) == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        summary = json.loads(paths[0].read_text())
+        assert sorted(summary) == ["fir/grit", "fir/on_touch"]
+        assert set(summary["fir/grit"]) == {"total_cycles", "digest"}
 
-        trace = tmp_path / "sweep.trace.json"
-        metrics = tmp_path / "sweep.metrics.jsonl"
-        assert (
-            main(
-                [
-                    "sweep",
-                    "--workloads",
-                    "fir",
-                    "--policies",
-                    "grit",
-                    "--scale",
-                    "0.05",
-                    "--workers",
-                    "2",
-                    "--trace",
-                    str(trace),
-                    "--metrics",
-                    str(metrics),
-                ]
-            )
-            == 0
-        )
-        assert validate_trace_file(str(trace)) == []
-        document = json.loads(trace.read_text())
-        # One process row per task: fir under grit and the implied
-        # on_touch baseline.
-        assert document["otherData"]["tasks"] == 2
-        pids = {
-            event["pid"] for event in document["traceEvents"]
-        }
-        assert pids == {1, 2}
-        rows = [
-            json.loads(line)
-            for line in metrics.read_text().splitlines()
-        ]
-        assert any(
-            row["metric"] == "sim.accesses.total" and row["value"] > 0
-            for row in rows
-        )
+    def test_unknown_workload_fails_before_simulating(
+        self, capsys, monkeypatch
+    ):
+        from repro.harness.experiment import ExperimentRunner
+
+        def no_simulation(self, key):
+            raise AssertionError(f"simulated {key}")
+
+        monkeypatch.setattr(ExperimentRunner, "run", no_simulation)
+        assert main(["sweep", "--workloads", "fir,nope"]) != 0
+        error = capsys.readouterr().err
+        assert "'nope'" in error
+        assert "choose from" in error and "fir" in error
+
+    @pytest.mark.parametrize("command", ["sweep", "report"])
+    def test_failed_pool_run_exits_1_naming_it(
+        self, command, tmp_path, capsys, monkeypatch
+    ):
+        from repro.harness import orchestrator, reproduce
+        from repro.harness.orchestrator import SweepError
+
+        def fail(runner, keys, workers=None):
+            raise SweepError("fir/grit: ValueError: boom")
+
+        monkeypatch.setattr(orchestrator, "warm_runner_parallel", fail)
+        monkeypatch.setattr(reproduce, "warm_runner_parallel", fail)
+        report = tmp_path / "REPORT.md"
+        argv = {
+            "sweep": ["sweep", "--workloads", "fir", "--policies", "grit"],
+            "report": ["report", "--output", str(report)],
+        }[command]
+        assert main([*argv, "--workers", "2", "--scale", "0.05"]) == 1
+        assert "error: fir/grit: ValueError: boom" in capsys.readouterr().err
+        assert not report.exists()
 
 
 class TestProfileJson:
