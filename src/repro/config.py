@@ -197,6 +197,17 @@ class LatencyModel:
         return max(1, self.host_remote_access // self.far_access_mlp)
 
 
+def check_pa_cache_geometry(entries: int, ways: int) -> None:
+    """Reject a PA-Cache that is not a power-of-two count of sets."""
+    if entries <= 0 or ways <= 0:
+        raise ConfigError("PA-Cache geometry must be positive")
+    if entries % ways:
+        raise ConfigError("PA-Cache entries must be a multiple of ways")
+    sets = entries // ways
+    if sets & (sets - 1):
+        raise ConfigError("PA-Cache set count must be a power of two")
+
+
 @dataclasses.dataclass(frozen=True)
 class GritConfig:
     """Knobs of the GRIT mechanism itself (Section V)."""
@@ -216,10 +227,7 @@ class GritConfig:
     def __post_init__(self) -> None:
         if self.fault_threshold < 1:
             raise ConfigError("fault threshold must be >= 1")
-        if self.pa_cache_entries <= 0 or self.pa_cache_ways <= 0:
-            raise ConfigError("PA-Cache geometry must be positive")
-        if self.pa_cache_entries % self.pa_cache_ways != 0:
-            raise ConfigError("PA-Cache entries must be a multiple of ways")
+        check_pa_cache_geometry(self.pa_cache_entries, self.pa_cache_ways)
         if self.max_group_pages not in (1, 8, 64, 512):
             raise ConfigError("max_group_pages must be one of 1/8/64/512")
 

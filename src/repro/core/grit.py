@@ -15,8 +15,7 @@ leave duplication) and charges latencies.
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Tuple
+from typing import Dict, NamedTuple, Tuple
 
 from repro.config import GritConfig, LatencyModel
 from repro.constants import FaultKind, Scheme
@@ -26,8 +25,7 @@ from repro.core.neighbor import NeighboringAwarePredictor
 from repro.memsys.page_table import CentralPageTable
 
 
-@dataclasses.dataclass(frozen=True)
-class SchemeChange:
+class SchemeChange(NamedTuple):
     """Everything that happened in response to one observed fault."""
 
     #: Extra cycles the fault spends on the PA path.
@@ -42,17 +40,6 @@ class SchemeChange:
     propagated: Tuple[Tuple[int, Scheme], ...]
     promotions: int
     degradations: int
-
-
-_NO_CHANGE = SchemeChange(
-    extra_latency=0,
-    decision_made=False,
-    new_scheme=None,
-    scheme_changed=False,
-    propagated=(),
-    promotions=0,
-    degradations=0,
-)
 
 
 class GritMechanism:
@@ -75,6 +62,20 @@ class GritMechanism:
             else None
         )
         self.scheme_changes = 0
+        #: The change of a fault below the threshold, one per PA-path
+        #: charge, shared by every such fault.
+        self._quiet: Dict[int, SchemeChange] = {
+            charge: SchemeChange(
+                extra_latency=charge,
+                decision_made=False,
+                new_scheme=None,
+                scheme_changed=False,
+                propagated=(),
+                promotions=0,
+                degradations=0,
+            )
+            for charge in self.initiator.charges
+        }
 
     def observe_fault(
         self, vpn: int, kind: FaultKind, is_write: bool | None = None
@@ -82,9 +83,7 @@ class GritMechanism:
         """Feed one fault through GRIT; returns the resulting actions."""
         outcome = self.initiator.observe_fault(vpn, kind, is_write)
         if not outcome.threshold_reached:
-            return dataclasses.replace(
-                _NO_CHANGE, extra_latency=outcome.extra_latency
-            )
+            return self._quiet[outcome.extra_latency]
         page = self.page_table.get(vpn)
         old_scheme = page.scheme
         new_scheme = decide_scheme(outcome.rw_bit)

@@ -16,8 +16,7 @@ background (no latency charge) as the paper specifies.
 
 from __future__ import annotations
 
-import dataclasses
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from repro.constants import GROUP_FANOUT, GroupBits, Scheme
 from repro.errors import ConfigError
@@ -25,8 +24,7 @@ from repro.memsys.address import AddressSpace
 from repro.memsys.page_table import CentralPageTable
 
 
-@dataclasses.dataclass(frozen=True)
-class NeighborOutcome:
+class NeighborOutcome(NamedTuple):
     """Effects of one scheme change on the surrounding groups."""
 
     #: Pages whose scheme bits were rewritten by propagation, with the

@@ -12,8 +12,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import List
 
+from repro.config import check_pa_cache_geometry
 from repro.core.pa_table import PAEntry, PATable
-from repro.errors import ConfigError
 
 
 class PACache:
@@ -22,12 +22,10 @@ class PACache:
     def __init__(
         self, backing: PATable, entries: int = 64, ways: int = 4
     ) -> None:
-        if entries <= 0 or ways <= 0 or entries % ways:
-            raise ConfigError("PA-Cache entries must be a multiple of ways")
+        check_pa_cache_geometry(entries, ways)
         sets = entries // ways
-        if sets & (sets - 1):
-            raise ConfigError("PA-Cache set count must be a power of two")
         self.backing = backing
+        self._table = backing.entries
         self.ways = ways
         self._set_mask = sets - 1
         self._sets: List[OrderedDict[int, PAEntry]] = [
@@ -43,57 +41,46 @@ class PACache:
         #: Entries dropped by :meth:`delete` (scheme changes).
         self.deletes = 0
 
-    def _set_for(self, vpn: int) -> OrderedDict[int, PAEntry]:
-        return self._sets[vpn & self._set_mask]
-
     def access(self, vpn: int) -> tuple[PAEntry, bool]:
         """Look up (allocating as needed) the entry for a faulting page.
 
         Returns ``(entry, cache_hit)``.  On a miss the PA-Table is
         consulted: a found entry is brought into the cache
         (write-allocate); otherwise a fresh entry is registered directly
-        in the cache, to be written back on eviction.
+        in the cache, to be written back on eviction.  Most faults
+        miss, so the fill and the victim's write-back run inline.
         """
-        entries = self._set_for(vpn)
+        entries = self._sets[vpn & self._set_mask]
         entry = entries.get(vpn)
         if entry is not None:
             entries.move_to_end(vpn)
             self.hits += 1
             return entry, True
         self.misses += 1
-        entry = self.backing.take(vpn)
-        if entry is not None:
+        table = self._table
+        entry = table.pop(vpn, None)
+        if entry is None:
+            entry = PAEntry(vpn)
+        else:
             self.table_fills += 1
             # Fresh from the backing table: clean until modified.
             entry.dirty = False
-        else:
-            entry = PAEntry(vpn=vpn)
-        self._fill(vpn, entry)
-        return entry, False
-
-    def _fill(self, vpn: int, entry: PAEntry) -> None:
-        entries = self._set_for(vpn)
         if len(entries) >= self.ways:
+            # Write-back: a clean victim matches what the table last
+            # saw (or is an untouched all-zero entry, which carries no
+            # information), so restoring it is free; only entries
+            # modified since fill are write-back traffic.
             _, victim = entries.popitem(last=False)
-            self._writeback(victim)
+            if victim.dirty:
+                victim.dirty = False
+                self.writebacks += 1
+            table[victim.vpn] = victim
         entries[vpn] = entry
-
-    def _writeback(self, victim: PAEntry) -> None:
-        """Return a victim to the table; count it only when dirty.
-
-        A clean victim matches what the table last saw (or is an
-        untouched all-zero entry, which carries no information), so
-        restoring it is free — only entries modified since fill are
-        write-back traffic.
-        """
-        if victim.dirty:
-            victim.dirty = False
-            self.writebacks += 1
-        self.backing.insert(victim)
+        return entry, False
 
     def delete(self, vpn: int) -> None:
         """Drop an entry from cache *and* table (scheme change fired)."""
-        cached = self._set_for(vpn).pop(vpn, None)
+        cached = self._sets[vpn & self._set_mask].pop(vpn, None)
         removed = self.backing.remove(vpn)
         if cached is not None or removed is not None:
             self.deletes += 1
@@ -104,6 +91,9 @@ class PACache:
     def flush_to_table(self) -> None:
         """Write every cached entry back (used by tests/inspection)."""
         for entries in self._sets:
-            while entries:
-                _, victim = entries.popitem(last=False)
-                self._writeback(victim)
+            for victim in entries.values():
+                if victim.dirty:
+                    victim.dirty = False
+                    self.writebacks += 1
+                self._table[victim.vpn] = victim
+            entries.clear()

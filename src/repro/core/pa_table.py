@@ -26,7 +26,7 @@ _COUNTER_SHIFT = _VPN_BITS + 1
 _COUNTER_MASK = 0b11
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class PAEntry:
     """One PA-Table / PA-Cache entry.
 
@@ -81,30 +81,30 @@ class PATable:
     """Dict-backed PA-Table with memory-footprint accounting."""
 
     def __init__(self) -> None:
-        self._entries: Dict[int, PAEntry] = {}
+        #: VPN -> entry.  The PA-Cache fills from and writes back into
+        #: this dict directly.
+        self.entries: Dict[int, PAEntry] = {}
         self.lookups = 0
-        self.insertions = 0
         self.deletions = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.entries)
 
     def __contains__(self, vpn: int) -> bool:
-        return vpn in self._entries
+        return vpn in self.entries
 
     def lookup(self, vpn: int) -> PAEntry | None:
         """Read the entry for the page (None when absent)."""
         self.lookups += 1
-        return self._entries.get(vpn)
+        return self.entries.get(vpn)
 
     def insert(self, entry: PAEntry) -> None:
-        """Write an entry back (PA-Cache eviction or direct update)."""
-        self.insertions += 1
-        self._entries[entry.vpn] = entry
+        """Write an entry (the update of a fault without the PA-Cache)."""
+        self.entries[entry.vpn] = entry
 
     def remove(self, vpn: int) -> PAEntry | None:
         """Delete the entry after a scheme change (threshold reached)."""
-        entry = self._entries.pop(vpn, None)
+        entry = self.entries.pop(vpn, None)
         if entry is not None:
             self.deletions += 1
         return entry
@@ -115,8 +115,8 @@ class PATable:
         Unlike :meth:`remove` this does not count as a deletion: the
         entry lives on in the PA-Cache and will be written back later.
         """
-        return self._entries.pop(vpn, None)
+        return self.entries.pop(vpn, None)
 
     def footprint_bits(self) -> int:
         """Current table size in bits (the paper's 0.15% overhead math)."""
-        return len(self._entries) * ENTRY_BITS
+        return len(self.entries) * ENTRY_BITS

@@ -190,18 +190,17 @@ class MetricCatalogRule(ProjectRule):
 
 
 @rule
-class MechanicExecutorRule(ProjectRule):
+class MechanicDispatchRule(ProjectRule):
     """Every Mechanic member has a statically visible executor."""
 
     rule_id = "GRIT-C006"
     description = (
-        "every Mechanic enum member must be registered with an "
-        "executor — via an @executes(Mechanic.X) decorator or an "
-        "executor.register(Mechanic.X, fn) call — or fault dispatch "
+        "every Mechanic enum member must have an executor registered "
+        "with an @executes(Mechanic.X) decorator, or fault dispatch "
         "raises PolicyError at runtime"
     )
     hint = (
-        "add an @executes(Mechanic.<member>) default executor in "
+        "add an @executes(Mechanic.<member>) executor in "
         "uvm/executor.py (or delete the member)"
     )
 
@@ -226,14 +225,14 @@ class MechanicExecutorRule(ProjectRule):
                     line=line,
                     message=(
                         f"Mechanic.{member} has no registered executor "
-                        f"(no @executes or .register call names it)"
+                        f"(no @executes call names it)"
                     ),
                     hint=self.hint,
                 )
 
 
 def _registered_mechanic(node: ast.AST) -> str | None:
-    """Mechanic member name a call registers an executor for, if any."""
+    """Mechanic member name an ``executes`` call registers, if any."""
     if not isinstance(node, ast.Call) or not node.args:
         return None
     func = node.func
@@ -241,7 +240,7 @@ def _registered_mechanic(node: ast.AST) -> str | None:
         if func.id != "executes":
             return None
     elif isinstance(func, ast.Attribute):
-        if func.attr not in ("executes", "register"):
+        if func.attr != "executes":
             return None
     else:
         return None

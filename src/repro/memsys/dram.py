@@ -18,7 +18,7 @@ from collections import OrderedDict
 from repro.constants import EvictionPolicy
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(slots=True)
 class EvictionResult:
     """Outcome of making room for one page."""
 
@@ -73,33 +73,28 @@ class DramDirectory:
         """Place a page in a frame, evicting a victim if needed.
 
         Returns the eviction performed to make room, or None if there
-        was a free frame (or the page was already resident).
+        was a free frame (or the page was already resident).  LRU and
+        FIFO both evict the OrderedDict's head (LRU refreshes order on
+        touch, FIFO never does); RANDOM picks uniformly.
         """
         self.installs += 1
-        if vpn in self._resident:
-            self._resident[vpn] = self._resident[vpn] or dirty
+        resident = self._resident
+        if vpn in resident:
+            resident[vpn] = resident[vpn] or dirty
             if self.policy is EvictionPolicy.LRU:
-                self._resident.move_to_end(vpn)
+                resident.move_to_end(vpn)
             return None
         evicted = None
-        if len(self._resident) >= self.capacity:
-            victim_vpn = self._pick_victim()
-            victim_dirty = self._resident.pop(victim_vpn)
+        if len(resident) >= self.capacity:
+            if self.policy is EvictionPolicy.RANDOM:
+                victim = self._rng.choice(list(resident))
+                was_dirty = resident.pop(victim)
+            else:
+                victim, was_dirty = resident.popitem(last=False)
             self.evictions += 1
-            evicted = EvictionResult(victim_vpn, victim_dirty)
-        self._resident[vpn] = dirty
+            evicted = EvictionResult(victim, was_dirty)
+        resident[vpn] = dirty
         return evicted
-
-    def _pick_victim(self) -> int:
-        """Choose the frame to free per the configured policy.
-
-        LRU and FIFO both take the OrderedDict's head (LRU refreshes
-        order on touch, FIFO never does, so the head is the right
-        victim for both); RANDOM picks uniformly.
-        """
-        if self.policy is EvictionPolicy.RANDOM:
-            return self._rng.choice(list(self._resident))
-        return next(iter(self._resident))
 
     def release(self, vpn: int) -> bool:
         """Free a frame (page migrated away or replica collapsed)."""

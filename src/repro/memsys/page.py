@@ -7,7 +7,7 @@ import dataclasses
 from repro.constants import HOST_NODE, GroupBits, Scheme
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class PageInfo:
     """Authoritative state of one virtual page, as the UVM driver sees it.
 

@@ -16,7 +16,7 @@ from repro.constants import Scheme
 from repro.memsys.page import PageInfo
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class LocalPTE:
     """One translation in a GPU's local page table.
 
@@ -35,29 +35,31 @@ class LocalPageTable:
 
     def __init__(self, gpu_id: int) -> None:
         self.gpu_id = gpu_id
-        self._entries: Dict[int, LocalPTE] = {}
+        #: VPN -> translation.  The UVM driver's eviction shoot-down
+        #: probes every GPU's table, so it reads this dict directly.
+        self.entries: Dict[int, LocalPTE] = {}
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.entries)
 
     def __contains__(self, vpn: int) -> bool:
-        return vpn in self._entries
+        return vpn in self.entries
 
     def lookup(self, vpn: int) -> LocalPTE | None:
         """Return the translation for ``vpn`` or None (local page fault)."""
-        return self._entries.get(vpn)
+        return self.entries.get(vpn)
 
     def map(self, vpn: int, location: int, writable: bool) -> None:
         """Install or update a translation."""
-        self._entries[vpn] = LocalPTE(location=location, writable=writable)
+        self.entries[vpn] = LocalPTE(location, writable)
 
     def invalidate(self, vpn: int) -> bool:
         """Drop a translation; returns True if one was present."""
-        return self._entries.pop(vpn, None) is not None
+        return self.entries.pop(vpn, None) is not None
 
     def mapped_vpns(self) -> Iterator[int]:
         """Iterate the VPNs with live translations."""
-        return iter(self._entries)
+        return iter(self.entries)
 
 
 class CentralPageTable:

@@ -74,11 +74,13 @@ class SetAssociativeTLB:
 
     def invalidate(self, vpn: int) -> bool:
         """Shootdown of one translation; True if it was cached."""
-        return self._set_for(vpn).pop(vpn, None) is not None
+        return self._sets[vpn & self._set_mask].pop(vpn, None) is not None
 
     def flush(self) -> None:
         """Full flush (pipeline drain during migration/collapse)."""
-        for entries in self._sets:
+        # Between flushes most sets of a large TLB stay empty; filter()
+        # skips them without a Python-level step each.
+        for entries in filter(None, self._sets):
             entries.clear()
 
     def __len__(self) -> int:

@@ -16,7 +16,6 @@ class AccessCounterPolicy(PlacementPolicy):
     """Remote-map on fault, migrate at the counter threshold."""
 
     name = "access_counter"
-    mechanics = frozenset({Mechanic.ACCESS_COUNTER})
 
     def initial_scheme(self) -> Scheme:
         """Fresh PTEs carry the AC scheme bits."""

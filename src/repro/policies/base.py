@@ -10,15 +10,13 @@ and the comparators share one simulator.
 from __future__ import annotations
 
 import abc
-import dataclasses
 import enum
-from typing import TYPE_CHECKING, FrozenSet, Tuple
+from typing import TYPE_CHECKING, NamedTuple, Tuple
 
 from repro.constants import FaultKind, Scheme
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.memsys.page import PageInfo
-    from repro.uvm.executor import MechanicExecutor
     from repro.uvm.machine import MachineState
 
 
@@ -49,8 +47,7 @@ SCHEME_MECHANIC = {
 }
 
 
-@dataclasses.dataclass(frozen=True)
-class FaultObservation:
+class FaultObservation(NamedTuple):
     """What a policy did in response to observing a fault."""
 
     #: Extra cycles to charge this fault (PA path, tracking structures).
@@ -83,11 +80,6 @@ class PlacementPolicy(abc.ABC):
     flush_scale: float = 1.0
     #: Period (cycles) of :meth:`on_interval` callbacks; None disables.
     interval_cycles: int | None = None
-    #: Mechanics :meth:`mechanic_for` may return.  The driver checks at
-    #: construction time that each one has a registered executor, so a
-    #: missing registration fails fast instead of surfacing as a
-    #: :class:`~repro.errors.PolicyError` deep inside a simulation.
-    mechanics: FrozenSet[Mechanic] = frozenset()
 
     def __init__(self) -> None:
         self.machine: "MachineState | None" = None
@@ -95,15 +87,6 @@ class PlacementPolicy(abc.ABC):
     def bind(self, machine: "MachineState") -> None:
         """Attach to a machine; called once by the engine at setup."""
         self.machine = machine
-
-    def register_mechanics(self, executor: "MechanicExecutor") -> None:
-        """Hook to override or extend the mechanic dispatch registry.
-
-        The driver calls this once, before any fault is serviced.  The
-        built-in mechanics are pre-registered; a policy that implements
-        a custom mechanic (or swaps an implementation for an ablation)
-        registers it here with ``executor.register(mechanic, fn)``.
-        """
 
     def initial_scheme(self) -> Scheme:
         """Scheme bits a freshly materialized PTE carries."""

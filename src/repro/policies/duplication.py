@@ -15,7 +15,6 @@ class DuplicationPolicy(PlacementPolicy):
     """Replicate on read fault, collapse on write."""
 
     name = "duplication"
-    mechanics = frozenset({Mechanic.DUPLICATION})
 
     def initial_scheme(self) -> Scheme:
         """Fresh PTEs carry the duplication scheme bits."""

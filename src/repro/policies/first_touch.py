@@ -15,7 +15,6 @@ class FirstTouchPolicy(PlacementPolicy):
     """Pin on first touch; remote peer access afterwards."""
 
     name = "first_touch"
-    mechanics = frozenset({Mechanic.PEER_REMOTE})
 
     def initial_scheme(self) -> Scheme:
         """Remote mappings behave like AC PTEs (sans counters)."""

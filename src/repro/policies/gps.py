@@ -19,7 +19,6 @@ class GpsPolicy(PlacementPolicy):
     """Publish-subscribe replication with store broadcast."""
 
     name = "gps"
-    mechanics = frozenset({Mechanic.GPS})
     gps_semantics = True
     # Subscribers keep writable replicas; stores broadcast, never fault.
     enforces_replica_protection = False

@@ -35,7 +35,6 @@ class GriffinPolicy(PlacementPolicy):
     """Griffin-DPC, optionally with ACUD."""
 
     name = "griffin_dpc"
-    mechanics = frozenset({Mechanic.PEER_REMOTE})
 
     def __init__(
         self,

@@ -9,6 +9,8 @@ Neighboring-Aware Prediction.
 
 from __future__ import annotations
 
+from typing import Dict
+
 from repro.config import GritConfig
 from repro.constants import FaultKind, Scheme
 from repro.core.grit import GritMechanism
@@ -26,10 +28,6 @@ class GritPolicy(PlacementPolicy):
     """Fine-grained dynamic page placement."""
 
     name = "grit"
-    # GRIT dispatches on the PTE's scheme bits, so every scheme's
-    # mechanic must have an executor (the PA path can flip a page to
-    # any of the three mid-run).
-    mechanics = frozenset(SCHEME_MECHANIC.values())
 
     def __init__(
         self,
@@ -40,6 +38,7 @@ class GritPolicy(PlacementPolicy):
         self._grit_config = grit_config
         self._acud = acud
         self.mechanism: GritMechanism | None = None
+        self._quiet: Dict[int, FaultObservation] = {}
         if acud:
             self.name = "grit_acud"
 
@@ -54,6 +53,12 @@ class GritPolicy(PlacementPolicy):
             latency=machine.config.latency,
             page_table=machine.central_pt,
         )
+        # The observation of a fault below the threshold, one per
+        # PA-path charge, shared by every such fault.
+        self._quiet = {
+            charge: FaultObservation(extra_latency=charge)
+            for charge in self.mechanism.initiator.charges
+        }
 
     def initial_scheme(self) -> Scheme:
         """GRIT starts every page at on-touch (Section VI-A)."""
@@ -69,8 +74,10 @@ class GritPolicy(PlacementPolicy):
         """Feed the fault through GRIT and translate its decisions
         into driver actions and statistics."""
         assert self.mechanism is not None, "policy used before bind()"
-        assert self.machine is not None
         change = self.mechanism.observe_fault(vpn, kind, is_write)
+        if not change.decision_made:
+            return self._quiet[change.extra_latency]
+        assert self.machine is not None
         counters = self.machine.counters
         counters.group_promotions += change.promotions
         counters.group_degradations += change.degradations

@@ -16,7 +16,6 @@ class IdealPolicy(PlacementPolicy):
     """Upper bound: free replication, free writes."""
 
     name = "ideal"
-    mechanics = frozenset({Mechanic.IDEAL})
     # The bound replicates for free with writable mappings everywhere.
     enforces_replica_protection = False
 

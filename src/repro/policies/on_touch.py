@@ -11,7 +11,6 @@ class OnTouchPolicy(PlacementPolicy):
     """Always migrate a faulting page to the requesting GPU."""
 
     name = "on_touch"
-    mechanics = frozenset({Mechanic.ON_TOUCH})
 
     def initial_scheme(self) -> Scheme:
         """On-touch pages start (and stay) with OT scheme bits."""

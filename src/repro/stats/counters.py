@@ -12,6 +12,10 @@ from typing import Dict
 
 from repro.constants import FaultKind, Scheme
 
+#: Bound once: on CPython 3.11, loading an enum member off its class
+#: costs ~150 ns, and every fault is tallied.
+_LOCAL_FAULT = FaultKind.LOCAL_PAGE_FAULT
+
 
 class EventCounters:
     """Simulation-wide event counts."""
@@ -66,7 +70,7 @@ class EventCounters:
 
     def record_fault(self, kind: FaultKind, gpu: int | None = None) -> None:
         """Tally one UVM fault, optionally attributed to a GPU."""
-        if kind is FaultKind.LOCAL_PAGE_FAULT:
+        if kind is _LOCAL_FAULT:
             self.local_page_faults += 1
         else:
             self.protection_faults += 1

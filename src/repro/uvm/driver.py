@@ -3,11 +3,12 @@
 Every local page fault and page protection fault travels over PCIe to
 the host, where the driver walks the centralized page table, consults
 the placement policy (step 2-4 of Figure 16 for GRIT), and resolves the
-fault with the mechanic the page's scheme demands.  Mechanic selection
-goes through the :class:`~repro.uvm.executor.MechanicExecutor` dispatch
-registry (on-touch migration, remote mapping with access counters,
-duplication / write collapse, plus the comparator policies' first-touch
-pinning, GPS publish-subscribe, and the Ideal bound).
+fault with the mechanic the page's scheme demands.  The driver calls
+that mechanic's executor straight from the
+:data:`~repro.uvm.executor.EXECUTORS` table (on-touch migration, remote
+mapping with access counters, duplication / write collapse, plus the
+comparator policies' first-touch pinning, GPS publish-subscribe, and
+the Ideal bound).
 
 Faults arrive through two entry points: :meth:`handle_local_fault`
 services one fault synchronously (the classic inline path), and
@@ -29,12 +30,11 @@ from repro.constants import (
     FaultKind,
     LatencyCategory,
 )
-from repro.errors import PolicyError
 from repro.stats.events import EventKind
 from repro.memsys.page import PageInfo
 from repro.policies.base import Mechanic, PlacementPolicy
 from repro.uvm.duplication import DuplicationEngine
-from repro.uvm.executor import MechanicExecutor
+from repro.uvm.executor import EXECUTORS
 from repro.uvm.fault_service import FaultService
 from repro.uvm.faults import FaultEvent
 from repro.uvm.machine import MachineState
@@ -59,6 +59,12 @@ _SANITIZED_OPERATIONS = (
 #: (same complete-operation boundaries the sanitizer uses).
 _TRACED_OPERATIONS = _SANITIZED_OPERATIONS
 
+#: Enum members read on every fault, bound once: on CPython 3.11,
+#: loading a member off its class costs ~150 ns, a module global ~10 ns.
+_LOCAL_FAULT = FaultKind.LOCAL_PAGE_FAULT
+_IDEAL = Mechanic.IDEAL
+_HOST = LatencyCategory.HOST
+
 
 class UvmDriver:
     """Host-side memory manager tying mechanics to the active policy."""
@@ -68,15 +74,6 @@ class UvmDriver:
         self.policy = policy
         self.migration = MigrationEngine(machine)
         self.duplication = DuplicationEngine(machine, self.migration)
-        self.mechanics = MechanicExecutor(self)
-        policy.register_mechanics(self.mechanics)
-        missing = policy.mechanics - self.mechanics.registered()
-        if missing:
-            names = ", ".join(sorted(m.name for m in missing))
-            raise PolicyError(
-                f"policy {policy.name!r} declares mechanics with no "
-                f"registered executor: {names}"
-            )
         self.fault_service = FaultService(
             self, batch_size=machine.config.fault_batch_size
         )
@@ -172,20 +169,16 @@ class UvmDriver:
         m = self.machine
         if page is None:
             page = m.central_pt.get(vpn)
-        if self.policy.mechanic_for(page) is Mechanic.IDEAL:
-            return self.mechanics.execute(
-                Mechanic.IDEAL, gpu, page, is_write, now
-            )
-        m.counters.record_fault(FaultKind.LOCAL_PAGE_FAULT, gpu)
+        policy = self.policy
+        if policy.mechanic_for(page) is _IDEAL:
+            return EXECUTORS[_IDEAL](self, gpu, page, is_write, now)
+        m.counters.record_fault(_LOCAL_FAULT, gpu)
         cycles = self.host_service(gpu, now)
-        cycles += self._observe_fault(
-            gpu, vpn, FaultKind.LOCAL_PAGE_FAULT, is_write
-        )
+        cycles += self._observe_fault(gpu, vpn, _LOCAL_FAULT, is_write)
         # The policy hook may have rewritten the page's scheme bits
         # (GRIT's PA path), so the mechanic is re-read after it runs.
-        cycles += self.mechanics.execute(
-            self.policy.mechanic_for(page), gpu, page, is_write,
-            now + cycles,
+        cycles += EXECUTORS[policy.mechanic_for(page)](
+            self, gpu, page, is_write, now + cycles
         )
         if m.event_log is not None:
             m.event_log.emit(
@@ -218,20 +211,18 @@ class UvmDriver:
         cycles = self.host_service(gpu, now)
         for record in coalesced.values():
             page = m.central_pt.get(record.vpn)
-            if self.policy.mechanic_for(page) is Mechanic.IDEAL:
-                cycles += self.mechanics.execute(
-                    Mechanic.IDEAL, gpu, page, record.is_write,
-                    now + cycles,
+            if self.policy.mechanic_for(page) is _IDEAL:
+                cycles += EXECUTORS[_IDEAL](
+                    self, gpu, page, record.is_write, now + cycles
                 )
                 continue
-            m.counters.record_fault(FaultKind.LOCAL_PAGE_FAULT, gpu)
+            m.counters.record_fault(_LOCAL_FAULT, gpu)
             fault_cycles = self._observe_fault(
-                gpu, record.vpn, FaultKind.LOCAL_PAGE_FAULT, record.is_write
+                gpu, record.vpn, _LOCAL_FAULT, record.is_write
             )
             # Re-read after the policy hook: it may rewrite scheme bits.
-            fault_cycles += self.mechanics.execute(
-                self.policy.mechanic_for(page), gpu, page, record.is_write,
-                now + cycles + fault_cycles,
+            fault_cycles += EXECUTORS[self.policy.mechanic_for(page)](
+                self, gpu, page, record.is_write, now + cycles + fault_cycles
             )
             cycles += fault_cycles
             if m.event_log is not None:
@@ -339,7 +330,7 @@ class UvmDriver:
         cycles = m.kernel.host_service(
             gpu, now, self.policy.fault_service_scale
         )
-        m.breakdown.charge(LatencyCategory.HOST, cycles)
+        m.breakdown.charge(_HOST, cycles)
         return cycles
 
     def charge_collapse(self, page: PageInfo) -> int:
@@ -362,7 +353,7 @@ class UvmDriver:
         observation = self.policy.on_fault_observed(gpu, vpn, kind, is_write)
         cycles = observation.extra_latency
         if cycles:
-            self.machine.breakdown.charge(LatencyCategory.HOST, cycles)
+            self.machine.breakdown.charge(_HOST, cycles)
         for changed_vpn in observation.collapse_charged:
             page = self.machine.central_pt.get(changed_vpn)
             cycles += self.charge_collapse(page)

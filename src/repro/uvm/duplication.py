@@ -91,7 +91,7 @@ class DuplicationEngine:
         """
         m = self.machine
         for gpu in m.gpus:
-            pte = gpu.page_table.lookup(page.vpn)
+            pte = gpu.page_table.entries.get(page.vpn)
             if pte is not None and pte.writable:
                 pte.writable = False
                 # The cached TLB copy may still claim write permission.

@@ -1,24 +1,20 @@
-"""Mechanic dispatch: how the driver resolves a fault, by registry.
+"""Mechanic dispatch: how the driver resolves a fault.
 
-The UVM driver used to pick fault-resolution mechanics through an
-if/elif ladder; this module replaces it with an explicit dispatch
-registry.  Each built-in :class:`~repro.policies.base.Mechanic` member
-registers its executor at import time with the :func:`executes`
-decorator, and every :class:`MechanicExecutor` instance starts from
-that default table.  Policies may override or extend the table through
-:meth:`~repro.policies.base.PlacementPolicy.register_mechanics` — the
-hook the driver calls before the first fault is serviced — which is
-what lets an experiment swap one mechanic's implementation without
-touching the driver.
+Each :class:`~repro.policies.base.Mechanic` member registers its
+executor at import time with the :func:`executes` decorator, into the
+one module-level table :data:`EXECUTORS`.  The UVM driver resolves a
+fault by looking the policy's mechanic up in that table and calling the
+executor; a mechanic with no executor raises a named
+:class:`~repro.errors.PolicyError`.
 
 The simlint rule GRIT-C006 statically checks that every ``Mechanic``
-enum member has a registered executor, so a new member cannot silently
-turn into a runtime :class:`~repro.errors.PolicyError`.
+enum member has an ``@executes`` executor, so a new member cannot
+silently turn into that runtime error.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, FrozenSet
+from typing import TYPE_CHECKING, Callable, Dict
 
 from repro.constants import HOST_NODE, LatencyCategory
 from repro.errors import PolicyError
@@ -34,52 +30,30 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: cycles the faulting access pays.
 ExecutorFn = Callable[["UvmDriver", int, PageInfo, bool, int], int]
 
-#: Default executor table every :class:`MechanicExecutor` starts from.
-DEFAULT_EXECUTORS: Dict[Mechanic, ExecutorFn] = {}
+
+class _ExecutorTable(Dict[Mechanic, ExecutorFn]):
+    """Mechanic -> executor; a missing mechanic is a policy error."""
+
+    def __missing__(self, mechanic: Mechanic) -> ExecutorFn:
+        raise PolicyError(f"no executor registered for {mechanic!r}")
+
+
+#: The executor of every mechanic, filled by :func:`executes`.
+EXECUTORS: Dict[Mechanic, ExecutorFn] = _ExecutorTable()
 
 
 def executes(mechanic: Mechanic) -> Callable[[ExecutorFn], ExecutorFn]:
-    """Register ``fn`` as the default executor for ``mechanic``."""
+    """Register ``fn`` as the executor for ``mechanic``."""
 
     def decorator(fn: ExecutorFn) -> ExecutorFn:
-        DEFAULT_EXECUTORS[mechanic] = fn
+        EXECUTORS[mechanic] = fn
         return fn
 
     return decorator
 
 
-class MechanicExecutor:
-    """Per-driver dispatch table from mechanic to executor."""
-
-    def __init__(self, driver: "UvmDriver") -> None:
-        self.driver = driver
-        self._handlers: Dict[Mechanic, ExecutorFn] = dict(DEFAULT_EXECUTORS)
-
-    def register(self, mechanic: Mechanic, handler: ExecutorFn) -> None:
-        """Install (or override) the executor for one mechanic."""
-        self._handlers[mechanic] = handler
-
-    def registered(self) -> FrozenSet[Mechanic]:
-        """Mechanics that currently have an executor."""
-        return frozenset(self._handlers)
-
-    def execute(
-        self,
-        mechanic: Mechanic,
-        gpu: int,
-        page: PageInfo,
-        is_write: bool,
-        now: int = 0,
-    ) -> int:
-        """Resolve one fault on ``page`` for ``gpu``; returns cycles."""
-        handler = self._handlers.get(mechanic)
-        if handler is None:
-            raise PolicyError(f"no executor registered for {mechanic!r}")
-        return handler(self.driver, gpu, page, is_write, now)
-
-
 # ----------------------------------------------------------------------
-# default executors (one per Mechanic member; see GRIT-C006)
+# executors (one per Mechanic member; see GRIT-C006)
 # ----------------------------------------------------------------------
 
 

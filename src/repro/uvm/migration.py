@@ -23,6 +23,8 @@ class MigrationEngine:
 
     def __init__(self, machine: MachineState) -> None:
         self.machine = machine
+        #: Each GPU's local page table, probed on every eviction.
+        self._page_tables = [gpu.page_table.entries for gpu in machine.gpus]
 
     def place_from_host(
         self,
@@ -151,12 +153,11 @@ class MigrationEngine:
     ) -> int:
         """Demote the evicted page and fix up mappings and ownership."""
         m = self.machine
-        victim = m.central_pt.peek(eviction.evicted_vpn)
+        vpn = eviction.evicted_vpn
+        victim = m.central_pt.peek(vpn)
         m.counters.evictions += 1
         if m.event_log is not None:
-            m.event_log.emit(
-                EventKind.EVICTION, eviction.evicted_vpn, gpu
-            )
+            m.event_log.emit(EventKind.EVICTION, vpn, gpu)
         cycles = 0
         if victim is None:
             return cycles
@@ -166,10 +167,11 @@ class MigrationEngine:
             # Replica holders' self-mappings reference their own frames
             # and stay valid — under GPS that keeps them writable.
             invalidated = 0
-            for node in m.gpus:
-                pte = node.page_table.lookup(victim.vpn)
+            for node, entries in zip(m.gpus, self._page_tables):
+                pte = entries.get(vpn)
                 if pte is not None and pte.location == gpu:
-                    node.invalidate_translation(victim.vpn)
+                    del entries[vpn]
+                    node.tlbs.invalidate(vpn)
                     invalidated += 1
             cycles += m.kernel.invalidation(invalidated, flush_scale)
             if victim.replicas:
@@ -178,17 +180,15 @@ class MigrationEngine:
                 new_owner = min(victim.replicas)
                 victim.replicas.discard(new_owner)
                 victim.owner = new_owner
-                promoted = m.gpus[new_owner].page_table.lookup(victim.vpn)
+                promoted = m.gpus[new_owner].page_table.lookup(vpn)
                 if promoted is None:
                     m.gpus[new_owner].page_table.map(
-                        victim.vpn,
-                        new_owner,
-                        writable=not victim.replicas,
+                        vpn, new_owner, writable=not victim.replicas
                     )
                 elif not victim.replicas and not promoted.writable:
                     # Sole holder now: write permission comes back.
                     promoted.writable = True
-                    m.gpus[new_owner].tlbs.invalidate(victim.vpn)
+                    m.gpus[new_owner].tlbs.invalidate(vpn)
             else:
                 victim.owner = HOST_NODE
                 if eviction.was_dirty:
@@ -196,15 +196,15 @@ class MigrationEngine:
                         gpu, HOST_NODE, m.config.page_size, now + cycles
                     )
                 victim.dirty = False
-            m.access_counters.reset_group(victim.vpn)
+            m.access_counters.reset_group(vpn)
         elif gpu in victim.replicas:
             victim.replicas.discard(gpu)
-            m.gpus[gpu].invalidate_translation(victim.vpn)
+            m.gpus[gpu].invalidate_translation(vpn)
             if not victim.replicas and victim.owner != HOST_NODE:
                 # Last replica gone: the owner's mapping can be writable
                 # again (no more copies to keep coherent).
-                owner_pte = m.gpus[victim.owner].page_table.lookup(victim.vpn)
+                owner_pte = m.gpus[victim.owner].page_table.lookup(vpn)
                 if owner_pte is not None:
                     owner_pte.writable = True
-                    m.gpus[victim.owner].tlbs.invalidate(victim.vpn)
+                    m.gpus[victim.owner].tlbs.invalidate(vpn)
         return cycles

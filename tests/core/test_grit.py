@@ -74,6 +74,17 @@ class TestObserveFault:
         assert change.promotions == 0
         assert change.propagated == ()
 
+    def test_below_threshold_faults_share_one_outcome(self):
+        grit = make_mechanism()
+        # Cold faults on two pages: both PA-Cache misses, same charge.
+        first = grit.observe_fault(5, FaultKind.LOCAL_PAGE_FAULT)
+        assert grit.observe_fault(6, FaultKind.LOCAL_PAGE_FAULT) is first
+        assert first.extra_latency == LatencyModel().pa_cache_lookup
+        # Hits hide under the walk: another charge, another shared object.
+        hit = grit.observe_fault(5, FaultKind.LOCAL_PAGE_FAULT)
+        assert hit.extra_latency == 0
+        assert grit.observe_fault(6, FaultKind.LOCAL_PAGE_FAULT) is hit
+
     def test_extra_latency_without_pa_cache(self):
         grit = make_mechanism(use_pa_cache=False)
         change = grit.observe_fault(5, FaultKind.LOCAL_PAGE_FAULT)

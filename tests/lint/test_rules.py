@@ -441,14 +441,15 @@ def _write_mechanic_package(tmp_path, executor_body):
     return pkg
 
 
-class TestMechanicExecutorRule:
+class TestMechanicDispatchRule:
     COVERED = (
         "from pkg.policies.base import Mechanic\n\n\n"
         "@executes(Mechanic.ON_TOUCH)\n"
         "def execute_on_touch(driver, gpu, page, is_write):\n"
         "    return 0\n\n\n"
-        "def wire(executor):\n"
-        "    executor.register(Mechanic.DUPLICATION, execute_on_touch)\n"
+        "@executes(Mechanic.DUPLICATION)\n"
+        "def execute_duplication(driver, gpu, page, is_write):\n"
+        "    return 0\n"
     )
     PARTIAL = (
         "from pkg.policies.base import Mechanic\n\n\n"
@@ -469,7 +470,7 @@ class TestMechanicExecutorRule:
         assert "Mechanic.DUPLICATION" in findings[0].message
         assert findings[0].path == "policies/base.py"
 
-    def test_decorator_and_register_both_count(self, tmp_path):
+    def test_decorators_cover_every_member(self, tmp_path):
         pkg = _write_mechanic_package(tmp_path, self.COVERED)
         engine = LintEngine(pkg, repo_root=tmp_path)
         assert "GRIT-C006" not in ids(engine.run(paths=[]))

@@ -48,6 +48,19 @@ class TestMechanicSelection:
 
 
 class TestFaultHook:
+    def test_below_threshold_faults_share_one_observation(self, bound_grit):
+        policy, _ = bound_grit
+        # Cold faults on two pages: both PA-Cache misses, same charge.
+        first = policy.on_fault_observed(
+            0, 5, FaultKind.LOCAL_PAGE_FAULT, is_write=False
+        )
+        second = policy.on_fault_observed(
+            1, 6, FaultKind.LOCAL_PAGE_FAULT, is_write=True
+        )
+        assert second is first
+        assert first.extra_latency > 0
+        assert first.collapse_charged == first.collapse_background == ()
+
     def test_threshold_decision_updates_counters(self, bound_grit):
         policy, machine = bound_grit
         for _ in range(4):

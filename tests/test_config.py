@@ -102,6 +102,11 @@ class TestGritConfig:
         with pytest.raises(ConfigError):
             GritConfig(pa_cache_entries=10, pa_cache_ways=4)
 
+    def test_rejects_non_power_of_two_pa_cache_sets(self):
+        # 48 entries / 4 ways = 12 sets, which low VPN bits cannot index.
+        with pytest.raises(ConfigError, match="power of two"):
+            GritConfig(pa_cache_entries=48, pa_cache_ways=4)
+
 
 class TestSystemConfig:
     def test_table_i_defaults(self, config):

@@ -4,11 +4,11 @@ import pytest
 
 from repro.config import SystemConfig
 from repro.constants import FaultKind
-from repro.errors import PolicyError, SimulationError
+from repro.errors import SimulationError
 from repro.policies import make_policy
 from repro.policies.base import Mechanic
 from repro.uvm.driver import UvmDriver
-from repro.uvm.executor import MechanicExecutor
+from repro.uvm.executor import EXECUTORS
 from repro.uvm.faults import FaultBuffer, FaultEvent
 from repro.uvm.machine import MachineState
 
@@ -130,46 +130,6 @@ class TestFaultService:
         assert driver.machine.counters.fault_batches == 0
 
 
-class TestMechanicExecutor:
-    def test_defaults_cover_every_mechanic(self):
-        driver = _driver()
-        assert driver.mechanics.registered() == frozenset(Mechanic)
-
-    def test_unregistered_mechanic_raises(self):
-        executor = MechanicExecutor(driver=None)
-        executor._handlers.clear()
-        with pytest.raises(PolicyError):
-            executor.execute(Mechanic.ON_TOUCH, 0, None, False)
-
-    def test_driver_rejects_policy_missing_an_executor(self):
-        config = SystemConfig(num_gpus=2)
-        machine = MachineState.build(config, footprint_pages=16)
-        policy = make_policy("on_touch")
-
-        class Unsatisfiable(type(policy)):
-            def register_mechanics(self, executor):
-                del executor._handlers[Mechanic.ON_TOUCH]
-
-        with pytest.raises(PolicyError, match="on_touch"):
-            UvmDriver(machine, Unsatisfiable())
-
-    def test_policy_can_swap_an_executor(self):
-        config = SystemConfig(num_gpus=2)
-        machine = MachineState.build(config, footprint_pages=16)
-        policy = make_policy("on_touch")
-        calls = []
-
-        def counting(driver, gpu, page, is_write, now):
-            calls.append(page.vpn)
-            return 0
-
-        original = policy.register_mechanics
-
-        def register(executor):
-            original(executor)
-            executor.register(Mechanic.ON_TOUCH, counting)
-
-        policy.register_mechanics = register
-        driver = UvmDriver(machine, policy)
-        driver.handle_local_fault(0, 9, False)
-        assert calls == [9]
+class TestExecutorTable:
+    def test_covers_every_mechanic(self):
+        assert set(EXECUTORS) == set(Mechanic)
