@@ -41,6 +41,10 @@ class DramDirectory:
         self.gpu_id = gpu_id
         self.capacity = capacity_frames
         self.policy = policy
+        #: ``policy is LRU``, resolved once: touch and mark_dirty run on
+        #: every local data access, and loading the Enum member there
+        #: costs more than the comparison itself.
+        self._lru = policy is EvictionPolicy.LRU
         self._rng = random.Random(seed + gpu_id)
         self._resident: OrderedDict[int, bool] = OrderedDict()
         self.evictions = 0
@@ -59,14 +63,14 @@ class DramDirectory:
 
     def touch(self, vpn: int) -> None:
         """Record a data access so LRU ordering tracks recency."""
-        if self.policy is EvictionPolicy.LRU and vpn in self._resident:
+        if self._lru and vpn in self._resident:
             self._resident.move_to_end(vpn)
 
     def mark_dirty(self, vpn: int) -> None:
         """Flag a resident page as modified (write-back on eviction)."""
         if vpn in self._resident:
             self._resident[vpn] = True
-            if self.policy is EvictionPolicy.LRU:
+            if self._lru:
                 self._resident.move_to_end(vpn)
 
     def install(self, vpn: int, dirty: bool = False) -> EvictionResult | None:
@@ -81,7 +85,7 @@ class DramDirectory:
         resident = self._resident
         if vpn in resident:
             resident[vpn] = resident[vpn] or dirty
-            if self.policy is EvictionPolicy.LRU:
+            if self._lru:
                 resident.move_to_end(vpn)
             return None
         evicted = None

@@ -22,15 +22,18 @@ class SetAssociativeTLB:
 
     def __init__(self, config: TLBConfig) -> None:
         self.config = config
-        self._sets: List[OrderedDict[int, LocalPTE]] = [
+        #: Per-set LRU dicts, indexed by ``vpn & set_mask``.  Public
+        #: because the engine's fused steady-access check probes and
+        #: promotes L1 entries directly, without a method call.
+        self.sets: List[OrderedDict[int, LocalPTE]] = [
             OrderedDict() for _ in range(config.sets)
         ]
-        self._set_mask = config.sets - 1
+        self.set_mask = config.sets - 1
         self.hits = 0
         self.misses = 0
 
     def _set_for(self, vpn: int) -> OrderedDict[int, LocalPTE]:
-        return self._sets[vpn & self._set_mask]
+        return self.sets[vpn & self.set_mask]
 
     def lookup(self, vpn: int) -> LocalPTE | None:
         """Probe the TLB; promotes the entry to MRU on a hit."""
@@ -74,17 +77,17 @@ class SetAssociativeTLB:
 
     def invalidate(self, vpn: int) -> bool:
         """Shootdown of one translation; True if it was cached."""
-        return self._sets[vpn & self._set_mask].pop(vpn, None) is not None
+        return self.sets[vpn & self.set_mask].pop(vpn, None) is not None
 
     def flush(self) -> None:
         """Full flush (pipeline drain during migration/collapse)."""
         # Between flushes most sets of a large TLB stay empty; filter()
         # skips them without a Python-level step each.
-        for entries in filter(None, self._sets):
+        for entries in filter(None, self.sets):
             entries.clear()
 
     def __len__(self) -> int:
-        return sum(len(entries) for entries in self._sets)
+        return sum(len(entries) for entries in self.sets)
 
 
 class TLBHierarchy:

@@ -12,6 +12,26 @@ bit-for-bit.  With a larger batch size the faulting access parks in the
 GPU's replayable fault buffer while the stream keeps issuing (the other
 warps of a real GPU); a full buffer drains as one batch through the UVM
 driver and the parked accesses are then replayed.
+
+With the fast path on (``SystemConfig.fast_path``, the default) two
+shortcuts skip that pipeline where nothing needs modelling, both with
+bit-for-bit the same results:
+
+* the **fused steady-access check** retires an access that hits the
+  L1 TLB, is local and is permitted (a read, or a write to a writable
+  page under a non-GPS policy) inline in the loop, with exactly the
+  charges of the pipeline's L1-hit branch.  It runs in both contention
+  modes: its one DRAM-channel reservation happens at the same instant
+  the pipeline would make it;
+* **batched rounds** (:class:`~repro.sim.fastpath.FastPath`, flat
+  contention only) retire every GPU's verified steady prefix at once.
+  A per-GPU back-off tries them only where they recently paid: a round
+  that commits fewer than :data:`_PAYING_ROUND` accesses makes the
+  scheduled GPU skip its next 1, 3, 7, ... up to :data:`_MAX_BACKOFF`
+  round attempts.
+
+With ``fast_path=False`` every access takes the full pipeline; that is
+the reference the fast-path property tests compare against.
 """
 
 from __future__ import annotations
@@ -40,6 +60,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.prefetch.tree import TreePrefetcher
     from repro.sim.gpu import GpuNode
     from repro.stats.events import EventLog
+
+#: A batched round that commits fewer accesses than this did not pay
+#: for its verification, so the scheduled GPU backs off.
+_PAYING_ROUND = 32
+
+#: Ceiling of the back-off: a GPU skips at most this many round
+#: attempts in a row.
+_MAX_BACKOFF = 63
 
 
 class Engine:
@@ -90,11 +118,13 @@ class Engine:
             self.machine, trace, self.address_space
         )
         self.costs = self.machine.kernel.costs
-        # The vectorized steady-state fast path (repro.sim.fastpath):
-        # off under contention="queued", where every access is an
-        # order-sensitive reservation against live link/DRAM state.
+        #: The fused steady-access check runs in both contention modes;
+        #: batched rounds (repro.sim.fastpath) only in flat mode, since
+        #: under contention="queued" every access is an order-sensitive
+        #: reservation against live link/DRAM state.
+        self.fused_check = fast_path_enabled(config)
         self.fastpath: FastPath | None = None
-        if fast_path_enabled(config) and not self.machine.kernel.queued:
+        if self.fused_check and not self.machine.kernel.queued:
             self.fastpath = FastPath(self)
         if prefetcher is not None:
             prefetcher.bind(self.driver)
@@ -118,7 +148,21 @@ class Engine:
         cursors = stage.cursors
         service = self.fault_service
         inline = service.inline
+        fused = self.fused_check
         fastpath = self.fastpath
+        if fused:
+            l1s = [gpu.tlbs.l1 for gpu in gpus]
+            l1_sets = [l1.sets for l1 in l1s]
+            l1_mask = l1s[0].set_mask
+            l1_latency = self.config.l1_tlb.lookup_latency
+            steady_writes = not policy.gps_semantics
+            local_access = machine.kernel.local_access
+        if fastpath is not None:
+            verified = fastpath.state
+            # Round attempts each GPU still skips, and its current
+            # back-off (0, 1, 3, 7, ... _MAX_BACKOFF).
+            skip = [0] * len(gpus)
+            backoff = [0] * len(gpus)
         # Scheduling heap: always advance the GPU that is furthest
         # behind, ties broken by lowest id — (clock, gpu_id) tuples
         # order exactly like the old min()-over-list selection without
@@ -159,44 +203,91 @@ class Engine:
                 obs_next = (
                     now // observation.sample_interval + 1
                 ) * observation.sample_interval
-            # Steady-state fast round: batch every GPU's verified
-            # steady prefix up to the joint horizon.  Skipped on a
-            # boundary iteration — the hook may have moved clocks, and
-            # the scalar path must replay this access with the
-            # pre-hook ``now`` exactly like the classic loop.
-            if (
-                fastpath is not None
-                and not boundary
-                and fastpath.round(heap, next_interval, obs_next)
-            ):
-                continue
-            heapq.heappop(heap)
             if fastpath is not None:
-                # Scalar accesses (and the boundary hooks above) can
-                # fault, fill, migrate, or evict — anything the fast
-                # path verified against may change, so flag its cached
-                # verifications for revalidation before going scalar.
-                fastpath.invalidate(gpu_id)
+                if boundary:
+                    # The interval hook may have migrated pages and
+                    # moved clocks, and this access must replay with
+                    # the pre-hook ``now``: no round, and every cached
+                    # verification revalidates before its next use.
+                    fastpath.invalidate(gpu_id)
+                elif skip[gpu_id]:
+                    skip[gpu_id] -= 1
+                else:
+                    # Batched round: every GPU's verified steady
+                    # prefix up to the joint horizon.
+                    before = counters.fastpath_accesses
+                    batched = fastpath.round(heap, next_interval, obs_next)
+                    if counters.fastpath_accesses - before >= _PAYING_ROUND:
+                        backoff[gpu_id] = 0
+                    else:
+                        backoff[gpu_id] = skip[gpu_id] = min(
+                            2 * backoff[gpu_id] + 1, _MAX_BACKOFF
+                        )
+                    if batched:
+                        continue
             base_vpn, vpn, is_write = stage.next_access(gpu_id)
             if timeline is not None:
                 timeline.record(now, gpu_id, base_vpn, is_write)
             counters.record_access(is_write)
 
-            cycles, parked = self._service_access(
-                gpu_id, node, vpn, is_write, now
-            )
-            node.clock = now + cycles + issue_gap
-            if parked and service.should_drain(gpu_id):
-                node.clock += self._drain_faults(gpu_id, node, node.clock)
+            pte = None
+            if fused:
+                entries = l1_sets[gpu_id][vpn & l1_mask]
+                pte = entries.get(vpn)
+            if (
+                pte is not None
+                and pte.location == gpu_id
+                and (not is_write or (steady_writes and pte.writable))
+            ):
+                # Fused steady access: the L1-hit branch of
+                # _service_access, inline.
+                entries.move_to_end(vpn)
+                l1s[gpu_id].hits += 1
+                if is_write:
+                    node.dram.mark_dirty(vpn)
+                else:
+                    node.dram.touch(vpn)
+                data_at = now + l1_latency
+                node.clock = (
+                    data_at + local_access(gpu_id, data_at) + issue_gap
+                )
+                if fastpath is not None:
+                    # Consume one access of this GPU's cached
+                    # verification; nothing another GPU verified
+                    # against changed, so no epoch bump.
+                    state = verified.get(gpu_id)
+                    if state is not None:
+                        if state[1] > 1:
+                            state[1] -= 1
+                        else:
+                            del verified[gpu_id]
+            else:
+                if fastpath is not None:
+                    # Full-pipeline accesses can fault, fill, migrate,
+                    # or evict — anything the fast path verified
+                    # against may change, so flag its cached
+                    # verifications for revalidation.
+                    fastpath.invalidate(gpu_id)
+                cycles, parked = self._service_access(
+                    gpu_id, node, vpn, is_write, now
+                )
+                node.clock = now + cycles + issue_gap
+                if parked and service.should_drain(gpu_id):
+                    node.clock += self._drain_faults(
+                        gpu_id, node, node.clock
+                    )
             if cursors[gpu_id].exhausted:
+                heapq.heappop(heap)
                 # End of stream: nothing left to overlap parked faults
                 # with, so flush this GPU's partial batch.
                 if not inline and service.pending(gpu_id):
+                    if fastpath is not None:
+                        fastpath.invalidate(gpu_id)
                     node.clock += self._drain_faults(
                         gpu_id, node, node.clock
                     )
             else:
-                heapq.heappush(heap, (node.clock, gpu_id))
+                heapq.heapreplace(heap, (node.clock, gpu_id))
 
         return self._build_result()
 
@@ -214,13 +305,11 @@ class Engine:
         GPU's buffer and its remainder (TLB fill, protection check,
         data access) is deferred to the post-drain replay.
         """
-        outcome = self.stage.lookup(node, vpn, is_write, now)
-        cycles = outcome.cycles
-        pte = outcome.pte
-        if outcome.l2_missed:
+        cycles, pte, l2_missed, page = self.stage.lookup(node, vpn, now)
+        if l2_missed:
             if pte is None:
                 serviced = self.fault_service.submit(
-                    gpu_id, vpn, is_write, now, page=outcome.page
+                    gpu_id, vpn, is_write, now, page=page
                 )
                 if serviced is None:
                     return cycles, True

@@ -1,11 +1,24 @@
-"""The vectorized steady-state fast path of the access engine.
+"""The batched steady-state fast path of the access engine.
 
 The overwhelmingly common access in every workload's steady phase is
 *boring*: it hits the L1 TLB, the page is resident locally, no fault
-fires, no policy boundary is due.  The scalar pipeline still pays a
-full Python trip for each one.  This module batches those runs the way
-GRIT's own evaluation substrate (MGPUSim) does — model the interesting
-accesses precisely, price the uninteresting ones in bulk.
+fires, no policy boundary is due.  The full scalar pipeline still pays
+several Python calls for each one.  With the fast path on
+(``SystemConfig.fast_path``, the default) the engine retires such
+accesses two ways, the way GRIT's own evaluation substrate (MGPUSim)
+does — model the interesting accesses precisely, price the
+uninteresting ones cheaply:
+
+* one at a time, through the **fused steady-access check** inline in
+  ``Engine.run`` (both contention modes; see :mod:`repro.sim.engine`);
+* in bulk, through this module's :meth:`FastPath.round`, which batches
+  every GPU's verified steady run (flat contention only).  A per-GPU
+  back-off in the engine tries rounds only where they recently paid:
+  at 4 KiB pages steady runs are short and most rounds would commit
+  next to nothing.
+
+With the fast path off every access takes the full scalar pipeline;
+that is the reference both shortcuts are tested against.
 
 An access is **steady** for GPU ``g`` when all of:
 
@@ -19,6 +32,10 @@ An access is **steady** for GPU ``g`` when all of:
 * the engine is in flat contention mode (``contention="queued"``
   prices each access against live link/DRAM occupancy, which is
   order-sensitive — the engine never builds a FastPath there).
+
+(The fused check needs only the first three: it makes the access's
+one DRAM-channel reservation at the instant the pipeline would, and
+the end-of-stream drain of parked faults follows it as usual.)
 
 One steady access then costs exactly ``l1_lookup + local_access``
 cycles and advances the GPU's clock by that plus the issue gap; its
@@ -39,12 +56,17 @@ A round works in three moves:
    The window grows adaptively (64 entries up to
    :data:`~repro.sim.pipeline.CURSOR_CHUNK`) so fault-heavy phases
    pay for short windows and steady phases verify in big gulps.  The
-   verified-but-unconsumed remainder is cached per GPU: fast rounds
-   never mutate translation or residency state, so a cache entry
-   survives until the engine runs anything scalar — then
-   :meth:`invalidate` drops the acting GPU's entry (its cursor moved)
-   and epoch-stamps the rest, which cheaply *revalidate* at their
-   next use by re-probing just the pages in their memo.
+   verified-but-unconsumed remainder is cached per GPU in
+   :attr:`FastPath.state`: fast rounds and fused accesses never
+   mutate translation or residency state, so a cache entry survives
+   until the engine runs anything through the full pipeline or a
+   boundary hook — then :meth:`invalidate` drops the acting GPU's
+   entry (its cursor moved) and epoch-stamps the rest, which cheaply
+   *revalidate* at their next use by re-probing just the pages in
+   their memo.  A fused access consumes one access of its GPU's
+   entry (the engine decrements ``n_ok`` and drops the entry at 0)
+   without an epoch bump: it only reorders its own GPU's LRU state,
+   which no verdict depends on.
 2. **Bound**: the joint horizon ``H`` is the lexicographic minimum of
    ``(t, gpu)`` over every GPU's first unverified-or-unsteady access
    time, further capped by the next policy-interval and observation
@@ -59,9 +81,10 @@ A round works in three moves:
 The moment anything interesting happens — an L2 miss, a fault, a
 protection fault, an interval/observation boundary, a pending drain —
 the detector stops the run there and the engine falls back to the
-scalar pipeline for that access.  Results are bit-for-bit identical
-with the fast path on or off; ``tests/sim/test_fastpath.py`` and the
-golden/bench gates in CI hold that line.
+fused check or the scalar pipeline for that access.  Results are
+bit-for-bit identical with the fast path on or off;
+``tests/sim/test_fastpath.py`` and the golden/bench gates in CI hold
+that line.
 
 Enable/disable with ``SystemConfig(fast_path=...)``, the
 ``--no-fast-path`` CLI flag, or the ``GRIT_FAST_PATH`` environment
@@ -153,8 +176,9 @@ class FastPath:
         #: Non-data share of the advance (charged outside the kernel).
         self.overhead = l1_latency + issue_gap
         #: gpu_id -> [stamp, n_ok, reaches_end, unsteady, memo]: the
-        #: GPU's cached verification (see _plan for the slot meanings).
-        self._state: Dict[int, list] = {}
+        #: GPU's cached verification (see _verify for the slot
+        #: meanings).  Public: the engine's fused check consumes it.
+        self.state: Dict[int, list] = {}
         #: Bumped whenever scalar activity may have mutated TLB /
         #: page-table / residency state; states carrying an older
         #: stamp must revalidate their memo before being trusted.
@@ -165,9 +189,10 @@ class FastPath:
     def invalidate(self, gpu_id: int) -> None:
         """Note scalar activity initiated by ``gpu_id``.
 
-        The engine calls this before each scalar access (and its
-        boundary hooks) — the only things that can mutate TLB,
-        page-table, or residency state, or consume trace accesses.
+        The engine calls this before each full-pipeline access, on
+        each boundary iteration and before an end-of-stream drain —
+        the only things that can mutate TLB, page-table, or residency
+        state.
         The acting GPU's cached verification is dropped outright (its
         cursor is about to move); every other GPU's survives with a
         stale stamp and is *revalidated* at its next plan by
@@ -175,7 +200,7 @@ class FastPath:
         cheaper than re-scanning the run access by access.
         """
         self._epoch += 1
-        self._state.pop(gpu_id, None)
+        self.state.pop(gpu_id, None)
 
     # -- detection -----------------------------------------------------
 
@@ -201,7 +226,7 @@ class FastPath:
         """
         memo: Dict[int, Tuple[bool, bool]] = {}
         state = [self._epoch, 0, False, False, memo]
-        self._state[gpu_id] = state
+        self.state[gpu_id] = state
         if not self.inline and self.service.pending(gpu_id):
             # Parked faults drain (and replay) before the stream may
             # proceed past the batch boundary; never batch over them.
@@ -287,7 +312,7 @@ class FastPath:
         the stream.
         """
         clock = self.gpus[gpu_id].clock
-        state = self._state.get(gpu_id)
+        state = self.state.get(gpu_id)
         if state is not None and state[0] != self._epoch:
             if not self._revalidate(gpu_id, state):
                 state = None
@@ -362,7 +387,7 @@ class FastPath:
             if count <= 0:
                 continue
             self._commit(gpu_id, gpus[gpu_id], clock, count)
-            self._state[gpu_id][1] -= count
+            self.state[gpu_id][1] -= count
             total += count
         if total == 0:
             return False

@@ -5,7 +5,7 @@ The access path is an explicit four-stage pipeline:
 1. **Translation** (:class:`TranslationStage`): pull the next access
    off the GPU's stream cursor, fold it to the configured page size,
    and walk the translation path (L1 TLB -> L2 TLB -> page-table
-   walk), producing a typed :class:`AccessOutcome`.
+   walk), producing a plain ``(cycles, pte, l2_missed, page)`` tuple.
 2. **Fault buffering** (:class:`~repro.uvm.faults.FaultBuffer`):
    accesses whose translation is missing deposit a fault; with
    ``fault_batch_size == 1`` the deposit services immediately
@@ -26,7 +26,6 @@ simulator's memory at one trace copy plus a small window.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import TYPE_CHECKING, List, Tuple
 
 import numpy as np
@@ -44,7 +43,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = [
     "AccessCosts",
-    "AccessOutcome",
     "StreamCursor",
     "TranslationStage",
     "CURSOR_CHUNK",
@@ -56,27 +54,6 @@ __all__ = [
 #: bounded chunk at a time — fast iteration without the 2x trace
 #: memory of a full ``tolist()``.
 CURSOR_CHUNK = 8192
-
-
-@dataclasses.dataclass(slots=True)
-class AccessOutcome:
-    """What the translation stage produced for one access.
-
-    ``pte is None`` means the access needs a local page fault serviced
-    before it can proceed; ``l2_missed`` records whether the TLB
-    hierarchy must be refilled once a translation exists.
-    """
-
-    vpn: int
-    is_write: bool
-    cycles: int
-    pte: "LocalPTE | None"
-    l2_missed: bool
-    #: Central-page-table entry the walk already fetched for the
-    #: Figure 19 scheme tally.  The fault path reuses it instead of
-    #: consulting the central table a second time (it is the same
-    #: live object — pages mutate in place and are never replaced).
-    page: "PageInfo | None" = None
 
 
 class StreamCursor:
@@ -188,14 +165,20 @@ class TranslationStage:
         return base_vpn, base_vpn >> self.fold_shift, is_write
 
     def lookup(
-        self, node: "GpuNode", vpn: int, is_write: bool, now: int
-    ) -> AccessOutcome:
-        """Walk the translation path for one access.
+        self, node: "GpuNode", vpn: int, now: int
+    ) -> Tuple[int, "LocalPTE | None", bool, "PageInfo | None"]:
+        """Walk the translation path; ``(cycles, pte, l2_missed, page)``.
 
         L1/L2 TLB lookup, then on an L2 miss a page-table walk (the
         walk also tallies the touched page's current scheme for the
         Figure 19 breakdown) and a local-page-table lookup whose
         ``None`` result signals a page fault to the fault stages.
+        ``l2_missed`` says the TLBs must be refilled once a
+        translation exists.  ``page`` is the central-page-table entry
+        the walk fetched (None without a walk); the fault path reuses
+        it instead of consulting the central table a second time (it
+        is the same live object — pages mutate in place and are never
+        replaced).  A plain tuple: this runs once per scalar access.
         """
         machine = self.machine
         pte, cycles, l2_missed = node.tlbs.lookup(vpn)
@@ -207,4 +190,4 @@ class TranslationStage:
             page = machine.central_pt.get(vpn)
             machine.counters.record_scheme_usage(page.scheme)
             pte = node.page_table.lookup(vpn)
-        return AccessOutcome(vpn, is_write, cycles, pte, l2_missed, page)
+        return cycles, pte, l2_missed, page

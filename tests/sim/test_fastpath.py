@@ -11,9 +11,12 @@ Three contracts live here:
   old min-scan's order exactly: lowest clock first, ties broken by
   lowest GPU id, deterministically;
 * **fast-path equivalence** — simulated results are bit-for-bit
-  identical with the fast path on or off (only the wall-clock-domain
-  ``fastpath_*`` diagnostics differ), and on a steady-heavy workload
-  the fast path is measurably faster.
+  identical with the fast path on (fused steady accesses in both
+  contention modes, batched rounds in flat mode) or off (the full
+  pipeline, the reference), only the wall-clock-domain ``fastpath_*``
+  diagnostics differ; the back-off keeps batched rounds rare where
+  they do not pay, and on a steady-heavy workload the fast path is
+  measurably faster.
 """
 
 import json
@@ -177,6 +180,85 @@ def _random_trace(seed: int, num_gpus: int) -> WorkloadTrace:
     )
 
 
+class _RouteSpy:
+    """Counts full-pipeline accesses and batched-round attempts."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.scalar = 0
+        self.rounds = 0
+        service = Engine._service_access
+        batch = FastPath.round
+
+        def spy_service(engine, *args):
+            self.scalar += 1
+            return service(engine, *args)
+
+        def spy_round(fastpath, *args):
+            self.rounds += 1
+            return batch(fastpath, *args)
+
+        monkeypatch.setattr(Engine, "_service_access", spy_service)
+        monkeypatch.setattr(FastPath, "round", spy_round)
+
+
+def _both_contentions(argvalues):
+    """Each parametrize entry in flat and in queued contention.
+
+    Flat entries keep the plain ids they had before queued mode was
+    added, so selecting a flat case by id keeps working; queued ones
+    get a ``-queued`` suffix.
+    """
+    params = []
+    for contention in ("none", "queued"):
+        for values in argvalues:
+            values = values if isinstance(values, tuple) else (values,)
+            ident = "-".join(map(str, values))
+            if contention == "queued":
+                ident += "-queued"
+            params.append(pytest.param(*values, contention, id=ident))
+    return params
+
+
+def _run_on_and_off(monkeypatch, trace, config_of, policy):
+    """Flattened fast-on and fast-off results of one configuration.
+
+    Also checks the fast run was not vacuous: some accesses retired
+    through the fused check (fewer full-pipeline accesses than
+    accesses outside batched rounds) and, in flat mode, some through
+    batched rounds.
+    """
+    spy = _RouteSpy(monkeypatch)
+    outputs = []
+    for fast in (True, False):
+        config = config_of(fast)
+        timeline = IntervalTimeline(
+            num_gpus=config.num_gpus, interval_length=10_000
+        )
+        event_log = EventLog()
+        result = simulate(
+            config,
+            trace,
+            make_policy(policy),
+            timeline=timeline,
+            event_log=event_log,
+        )
+        counters = result.counters
+        if fast:
+            unbatched = counters.accesses - counters.fastpath_accesses
+            assert spy.scalar < unbatched, (
+                "no access took the fused steady route"
+            )
+            if config.contention == "none":
+                assert counters.fastpath_accesses > 0, (
+                    "trace generator produced no steady runs — the "
+                    "equivalence check is vacuous"
+                )
+            else:
+                assert spy.rounds == 0
+        outputs.append(_flatten(result, timeline, event_log))
+    return outputs
+
+
 def _flatten(result, timeline, event_log):
     counters = {
         key: value
@@ -203,35 +285,22 @@ class TestFastPathEquivalence:
     @pytest.mark.parametrize("seed", [11, 12, 13])
     @pytest.mark.parametrize("num_gpus", [2, 4])
     @pytest.mark.parametrize("policy", ["on_touch", "grit"])
-    @pytest.mark.parametrize("batch", [1, 8])
+    @pytest.mark.parametrize("batch,contention", _both_contentions([1, 8]))
     def test_random_traces_match_bit_for_bit(
-        self, seed, num_gpus, policy, batch
+        self, monkeypatch, seed, num_gpus, policy, batch, contention
     ):
-        outputs = []
-        for fast in (True, False):
-            trace = _random_trace(seed, num_gpus)
-            timeline = IntervalTimeline(
-                num_gpus=num_gpus, interval_length=10_000
-            )
-            event_log = EventLog()
-            result = simulate(
-                SystemConfig(
-                    num_gpus=num_gpus,
-                    fault_batch_size=batch,
-                    fast_path=fast,
-                ),
-                trace,
-                make_policy(policy),
-                timeline=timeline,
-                event_log=event_log,
-            )
-            if fast:
-                assert result.counters.fastpath_accesses > 0, (
-                    "trace generator produced no steady runs — the "
-                    "equivalence check is vacuous"
-                )
-            outputs.append(_flatten(result, timeline, event_log))
-        assert outputs[0] == outputs[1]
+        on, off = _run_on_and_off(
+            monkeypatch,
+            _random_trace(seed, num_gpus),
+            lambda fast: SystemConfig(
+                num_gpus=num_gpus,
+                fault_batch_size=batch,
+                contention=contention,
+                fast_path=fast,
+            ),
+            policy,
+        )
+        assert on == off
 
     def test_env_var_overrides_config(self, monkeypatch):
         trace = _random_trace(7, 2)
@@ -258,6 +327,8 @@ class TestFastPathEquivalence:
             )
 
     def test_queued_contention_disables_the_fast_path(self):
+        # Batched rounds only: the fused steady check still runs under
+        # queued contention (covered by the equivalence tests).
         trace = _random_trace(3, 2)
         engine = Engine(
             SystemConfig(num_gpus=2, contention="queued"),
@@ -287,38 +358,46 @@ SCALE_MATRIX = [
 class TestFastPathScaleMatrix:
     """Fast on == fast off holds on every scale-out fabric shape."""
 
-    @pytest.mark.parametrize("num_gpus,topology", SCALE_MATRIX)
+    @pytest.mark.parametrize(
+        "num_gpus,topology,contention", _both_contentions(SCALE_MATRIX)
+    )
     def test_scale_out_traces_match_bit_for_bit(
-        self, num_gpus, topology
+        self, monkeypatch, num_gpus, topology, contention
     ):
-        outputs = []
-        for fast in (True, False):
-            trace = _random_trace(21, num_gpus)
-            timeline = IntervalTimeline(
-                num_gpus=num_gpus, interval_length=10_000
-            )
-            event_log = EventLog()
-            result = simulate(
-                SystemConfig(
-                    num_gpus=num_gpus,
-                    topology=topology,
-                    fast_path=fast,
-                ),
-                trace,
-                make_policy("grit"),
-                timeline=timeline,
-                event_log=event_log,
-            )
-            if fast:
-                assert result.counters.fastpath_accesses > 0, (
-                    "trace generator produced no steady runs — the "
-                    "equivalence check is vacuous"
-                )
-            outputs.append(_flatten(result, timeline, event_log))
-        assert outputs[0] == outputs[1]
-        assert outputs[0]["details"]["topology"] == TopologySpec.parse(
+        on, off = _run_on_and_off(
+            monkeypatch,
+            _random_trace(21, num_gpus),
+            lambda fast: SystemConfig(
+                num_gpus=num_gpus,
+                topology=topology,
+                contention=contention,
+                fast_path=fast,
+            ),
+            "grit",
+        )
+        assert on == off
+        assert on["details"]["topology"] == TopologySpec.parse(
             topology, num_gpus
         ).describe()
+
+
+class TestRoundBackOff:
+    """Batched rounds are tried only where they recently paid."""
+
+    def test_rounds_are_rare_at_4k_pages(self, monkeypatch):
+        # st at 4 KiB pages: steady runs are short, so most rounds
+        # would commit nothing.  Without the back-off a round is
+        # tried on about 0.6 of all accesses; with it, on about 0.02.
+        spy = _RouteSpy(monkeypatch)
+        trace = make_workload("st", num_gpus=4, scale=0.05)
+        result = simulate(
+            SystemConfig(num_gpus=4, page_size=4096),
+            trace,
+            make_policy("grit"),
+        )
+        tries = spy.rounds / result.counters.accesses
+        assert tries < 0.1, f"a round was tried on {tries:.3f} of accesses"
+        assert result.counters.fastpath_accesses > 0
 
 
 class TestFastPathSpeedup:
