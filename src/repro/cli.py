@@ -18,9 +18,9 @@ Commands:
 * ``inspect`` — reconstruct page lifecycles from the structured event
   log (``--vpn N`` for one page, otherwise the busiest pages).
 * ``profile`` — wall-time phase profile of the simulator itself.
-* ``bench`` — run the figure benchmarks, write ``BENCH_<name>.json``
-  baselines, and gate fresh measurements against committed baselines
-  (``--compare``).
+* ``bench`` — simulate the bench cases, write their counters as
+  ``BENCH_<name>.json`` baselines, and check them against committed
+  baselines (``--compare``).
 * ``lint`` — run the simlint static-analysis pass over the simulator.
 """
 
@@ -32,6 +32,7 @@ from typing import Sequence
 
 from repro.analysis import sharing_summary
 from repro.config import SystemConfig
+from repro.errors import ConfigError
 from repro.harness.experiment import ExperimentRunner
 from repro.harness.figures import FIGURES, run_figure
 from repro.harness.report import format_figure, format_table
@@ -60,15 +61,14 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["none", "queued"],
         default="none",
         help="timing-kernel mode: 'queued' models link and DRAM "
-        "channel occupancy (GRIT_CONTENTION overrides)",
+        "channel occupancy",
     )
     run.add_argument(
         "--topology",
         default="all-to-all",
         metavar="SPEC",
         help="interconnect fabric shape: all-to-all (default), "
-        "nvswitch[:group_size], ring, or multi-node[:nodes] "
-        "(GRIT_TOPOLOGY overrides)",
+        "nvswitch[:group_size], ring, or multi-node[:nodes]",
     )
     run.add_argument(
         "--fault-batch",
@@ -81,9 +81,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--no-fast-path",
         action="store_true",
-        help="disable the vectorized steady-state fast path and run "
-        "every access through the scalar pipeline (results are "
-        "bit-identical either way; GRIT_FAST_PATH overrides)",
+        help="disable the steady-state fast path (fused check and "
+        "batched rounds) and run every access through the full "
+        "pipeline; results are bit-identical either way",
     )
     _add_observe_arguments(run)
 
@@ -154,7 +154,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="run the perf benchmarks and gate against baselines",
+        help="simulate the bench cases and check their counters",
     )
     bench.add_argument(
         "--cases",
@@ -168,12 +168,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="trace scale (default: $REPRO_BENCH_SCALE or 0.05)",
     )
     bench.add_argument(
-        "--repeats",
-        type=int,
-        default=None,
-        help="repetitions per case for the min-of-N estimate",
-    )
-    bench.add_argument(
         "--output",
         metavar="DIR",
         default=None,
@@ -183,29 +177,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--compare",
         metavar="DIR",
         default=None,
-        help="gate this run against the baselines in DIR; exits "
-        "nonzero on regressions",
-    )
-    bench.add_argument(
-        "--threshold",
-        type=float,
-        default=None,
-        help="relative wall-time slowdown tolerated by --compare "
-        "(default 0.25)",
-    )
-    bench.add_argument(
-        "--counters-only",
-        action="store_true",
-        help="compare deterministic simulator counters only (for "
-        "baselines written on different hardware)",
-    )
-    bench.add_argument(
-        "--inject-slowdown",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
-        help="gate drill: add SECONDS to every wall sample and verify "
-        "--compare fails",
+        help="check this run's counters against the baselines in "
+        "DIR; exits nonzero on any drift",
     )
 
     fig = sub.add_parser("figure", help="regenerate a paper figure")
@@ -558,37 +531,19 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.obs import bench
-    from repro.obs.catalog import build_bench_registry
 
     try:
-        cases = bench.select_cases(
-            [
-                name.strip()
-                for name in args.cases.split(",")
-                if name.strip()
-            ]
-            if args.cases
-            else None
-        )
+        cases = bench.select_cases(_names(args.cases or ""))
         scale = (
             args.scale if args.scale is not None else bench.default_scale()
         )
-        registry = build_bench_registry()
-        results = bench.run_suite(
-            cases,
-            scale,
-            repeats=args.repeats or bench.DEFAULT_REPEATS,
-            registry=registry,
-            inject_slowdown=args.inject_slowdown,
-        )
+        results = [bench.run_case(case, scale) for case in cases]
     except bench.BenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for result in results:
-        wall = min(result.wall_seconds)
         print(
-            f"{result.case.name:<16s} min {wall:7.3f}s of "
-            f"{result.repeats}  "
+            f"{result.case.name:<24s} "
             f"{result.counters['total_cycles']:,} cycles"
         )
     if args.output:
@@ -598,28 +553,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if not args.compare:
         return 0
     try:
-        regressions, notes = bench.compare_suite(
-            results,
-            args.compare,
-            threshold=(
-                args.threshold
-                if args.threshold is not None
-                else bench.DEFAULT_THRESHOLD
-            ),
-            counters_only=args.counters_only,
-            registry=registry,
-        )
+        regressions, notes = bench.compare_suite(results, args.compare)
     except bench.BenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for note in notes:
         print(f"note: {note}", file=sys.stderr)
-    for finding in regressions:
-        print(
-            f"regression [{finding.kind}] {finding.case}: "
-            f"{finding.message}",
-            file=sys.stderr,
-        )
+    for message in regressions:
+        print(f"regression: {message}", file=sys.stderr)
     if regressions:
         print(
             f"{len(regressions)} regression(s) against "
@@ -627,7 +568,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    print(f"bench gate passed against {args.compare}")
+    print(f"bench counters match {args.compare}")
     return 0
 
 
@@ -824,32 +765,40 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point."""
+    """CLI entry point.
+
+    A flag value the config rejects (``--gpus 0``, ``--topology mesh``)
+    exits 2 with ``error: <message>`` on stderr, not a traceback.
+    """
     args = _build_parser().parse_args(argv)
-    if args.command == "list":
-        return _cmd_list()
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "figure":
-        return _cmd_figure(args)
-    if args.command == "characterize":
-        return _cmd_characterize(args)
-    if args.command == "report":
-        return _cmd_report(args)
-    if args.command == "dump-trace":
-        return _cmd_dump_trace(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
-    if args.command == "inspect":
-        return _cmd_inspect(args)
-    if args.command == "profile":
-        return _cmd_profile(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    if args.command == "lint":
-        return _cmd_lint(args)
+    try:
+        if args.command == "list":
+            return _cmd_list()
+        if args.command == "run":
+            return _cmd_run(args)
+        if args.command == "figure":
+            return _cmd_figure(args)
+        if args.command == "characterize":
+            return _cmd_characterize(args)
+        if args.command == "report":
+            return _cmd_report(args)
+        if args.command == "dump-trace":
+            return _cmd_dump_trace(args)
+        if args.command == "trace":
+            return _cmd_trace(args)
+        if args.command == "inspect":
+            return _cmd_inspect(args)
+        if args.command == "profile":
+            return _cmd_profile(args)
+        if args.command == "bench":
+            return _cmd_bench(args)
+        if args.command == "sweep":
+            return _cmd_sweep(args)
+        if args.command == "lint":
+            return _cmd_lint(args)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

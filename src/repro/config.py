@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 
 from repro.constants import (
     ACCESS_COUNTER_GROUP_BYTES,
@@ -38,6 +39,11 @@ from repro.constants import (
     EvictionPolicy,
 )
 from repro.errors import ConfigError
+
+#: The one environment variable the simulator reads: ``1`` arms the
+#: machine-state sanitizer for every config built without an explicit
+#: ``sanitize`` value.
+SANITIZE_ENV_VAR = "GRIT_SANITIZE"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -262,36 +268,29 @@ class SystemConfig:
     #: duplicate (gpu, vpn) entries (see docs/architecture.md).
     fault_batch_size: int = 1
     #: Validate UVM machine-state invariants after every driver
-    #: operation (see repro.uvm.sanitizer).  Slow; debugging only.  The
-    #: ``GRIT_SANITIZE=1`` environment variable enables it globally.
-    sanitize: bool = False
-    #: Record spans, metrics, and events while simulating (see
-    #: repro.obs).  Off by default with zero fast-path cost.  The
-    #: ``GRIT_TRACE=1`` environment variable enables it globally.
-    observe: bool = False
+    #: operation (see repro.uvm.sanitizer).  Slow; debugging only.
+    #: Defaults to on when ``GRIT_SANITIZE=1`` is set, so a whole CLI
+    #: or pytest run can be armed; sanitizing changes no result.
+    sanitize: bool = dataclasses.field(
+        default_factory=lambda: os.environ.get(SANITIZE_ENV_VAR) == "1"
+    )
     #: Interconnect/DRAM contention mode of the timing kernel (see
     #: repro.sim.timing).  ``"none"`` charges the flat latency-model
     #: costs (bit-for-bit the classic simulator); ``"queued"`` makes
     #: every link and DRAM channel a contended resource with
-    #: ``busy_until`` occupancy and queueing delay.  The
-    #: ``GRIT_CONTENTION=queued`` environment variable overrides it
-    #: globally.
+    #: ``busy_until`` occupancy and queueing delay.
     contention: str = "none"
     #: Interconnect fabric shape (see repro.interconnect.routing).
     #: ``"all-to-all"`` is the paper's 4-GPU DGX-style mesh (bit-for-
     #: bit the classic simulator); ``"nvswitch[:group_size]"``,
     #: ``"ring"``, and ``"multi-node[:nodes]"`` are scale-out shapes
-    #: where GPU pairs route over multiple contended hops.  The
-    #: ``GRIT_TOPOLOGY`` environment variable overrides it globally.
+    #: where GPU pairs route over multiple contended hops.
     topology: str = "all-to-all"
-    #: Vectorized steady-state fast path of the engine (see
-    #: repro.sim.fastpath).  When on, runs of accesses that all hit
-    #: already-resident, already-translated local pages are priced in
-    #: one numpy step instead of one Python trip each — bit-for-bit
-    #: identical results, much faster replay.  Automatically disabled
-    #: under ``contention="queued"`` (reservations are order-
-    #: sensitive).  The ``GRIT_FAST_PATH=0/1`` environment variable
-    #: overrides it globally.
+    #: Steady-state shortcuts of the engine (see repro.sim.engine and
+    #: repro.sim.fastpath): the fused steady-access check, in both
+    #: contention modes, and batched rounds, in flat mode only.  Results
+    #: are bit-for-bit identical either way; off runs every access
+    #: through the full pipeline.
     fast_path: bool = True
 
     def __post_init__(self) -> None:

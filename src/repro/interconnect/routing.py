@@ -30,15 +30,14 @@ fabric shapes and :func:`build_fabric` turns it into concrete
     crosses both PCIe endpoints plus a host-side inter-node bridge
     (sharing both nodes' root ports, the existing root-port model).
 
-Select the shape with ``SystemConfig(topology=...)``, the
-``--topology`` CLI flag, or the ``GRIT_TOPOLOGY`` environment variable
-(the same global-override pattern as ``GRIT_CONTENTION``).
+Select the shape with ``SystemConfig(topology=...)`` or the
+``--topology`` CLI flag; :meth:`TopologySpec.parse` validates it when
+the config is built.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from repro.constants import HOST_NODE
@@ -47,14 +46,10 @@ from repro.interconnect.link import Link
 from repro.interconnect.switch import NVSwitch
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.config import LatencyModel, SystemConfig
+    from repro.config import LatencyModel
 
 #: Fabric shapes accepted by ``SystemConfig.topology``.
 TOPOLOGY_KINDS = ("all-to-all", "nvswitch", "ring", "multi-node")
-
-#: Environment variable globally overriding the configured topology
-#: spec (same precedence pattern as ``GRIT_CONTENTION``).
-TOPOLOGY_ENV_VAR = "GRIT_TOPOLOGY"
 
 #: Default GPUs per switch group (DGX-style quad).
 DEFAULT_GROUP_SIZE = 4
@@ -130,23 +125,6 @@ class TopologySpec:
         if self.kind == "multi-node":
             return f"multi-node:{self.nodes}"
         return self.kind
-
-
-def topology_spec(config: "SystemConfig") -> TopologySpec:
-    """Resolve the effective topology spec for one run.
-
-    The environment variable wins over the config field so a whole
-    sweep can be reshaped without touching call sites, mirroring
-    ``GRIT_CONTENTION``/``GRIT_FAST_PATH``.
-    """
-    raw = os.environ.get(TOPOLOGY_ENV_VAR, "")
-    text = raw if raw else config.topology
-    try:
-        return TopologySpec.parse(text, config.num_gpus)
-    except ConfigError as exc:
-        if raw:
-            raise ConfigError(f"{TOPOLOGY_ENV_VAR}: {exc}") from None
-        raise
 
 
 @dataclasses.dataclass(frozen=True)

@@ -2,8 +2,8 @@
 
 * **GRIT-F003** — config provenance: every config dataclass field must
   be read outside ``config.py`` (directly or through an externally
-  used config method), and every ``GRIT_*`` env var must be read via
-  ``os.environ`` *and* documented in ``config.py``.
+  used config method), and only ``config.py`` may read a ``GRIT_*``
+  env var, so the config always holds a run's effective settings.
 * **GRIT-F004** — CLI provenance: every flag a subcommand parses must
   be read by its handler, and every subcommand must be dispatched.
 
@@ -26,14 +26,13 @@ _ENV_VAR_PATTERN = re.compile(r"^GRIT_[A-Z0-9_]+$")
 
 @rule
 class ConfigProvenanceRule(ProjectRule):
-    """Every config knob must be consumed; env vars must round-trip."""
+    """Every config knob must be consumed; only config.py reads env."""
 
     rule_id = "GRIT-F003"
     description = (
         "every config dataclass field must be read outside config.py "
-        "(directly or via an externally used config method), and every "
-        "GRIT_* env var must be read via os.environ and documented in "
-        "config.py"
+        "(directly or via an externally used config method), and only "
+        "config.py may read a GRIT_* env var"
     )
     hint = "wire the knob into the core, or delete it"
 
@@ -43,7 +42,7 @@ class ConfigProvenanceRule(ProjectRule):
         info = symbols.module(self._CONFIG_PATH)
         if info is not None:
             yield from self._check_fields(symbols, info)
-        yield from self._check_env_vars(symbols, info)
+        yield from self._check_env_reads(symbols)
 
     # -- dataclass fields ---------------------------------------------
 
@@ -176,99 +175,77 @@ class ConfigProvenanceRule(ProjectRule):
 
     # -- GRIT_* environment variables ---------------------------------
 
-    def _check_env_vars(
-        self, symbols: SymbolTable, config: ModuleInfo | None
-    ) -> Iterator[Finding]:
-        occurrences: Dict[str, Tuple[str, int]] = {}
+    def _check_env_reads(self, symbols: SymbolTable) -> Iterator[Finding]:
+        """A ``GRIT_*`` read outside config.py bypasses the config, so
+        no fingerprint, baseline or result records what it changed."""
         for info in symbols.iter_modules():
-            for node in ast.walk(info.tree):
-                if (
-                    isinstance(node, ast.Constant)
-                    and isinstance(node.value, str)
-                    and _ENV_VAR_PATTERN.match(node.value)
-                ):
-                    occurrences.setdefault(
-                        node.value, (info.relpath, node.lineno)
-                    )
-        if not occurrences:
-            return
-        read_vars = self._environ_reads(symbols)
-        config_source = config.source if config is not None else ""
-        for name in sorted(occurrences):
-            path, line = occurrences[name]
-            if name not in read_vars:
+            if info.relpath == self._CONFIG_PATH:
+                continue
+            for name, line in self._environ_reads(info):
+                if not _ENV_VAR_PATTERN.match(name):
+                    continue
                 yield Finding(
                     rule_id=self.rule_id,
-                    path=path,
+                    path=info.relpath,
                     line=line,
                     message=(
-                        f"env var {name} is referenced but never read "
-                        "via os.environ: it cannot influence anything"
+                        f"env var {name} is read outside config.py: "
+                        "the setting it changes is not in the config"
                     ),
-                    hint="read it with os.environ.get, or delete it",
-                )
-            elif name not in config_source:
-                yield Finding(
-                    rule_id=self.rule_id,
-                    path=path,
-                    line=line,
-                    message=(
-                        f"env var {name} does not round-trip through "
-                        "config.py: document it next to the config "
-                        "flag it mirrors"
+                    hint=(
+                        "read it in config.py into a config field, or "
+                        "delete it"
                     ),
-                    hint="mention the variable in config.py",
                 )
 
     @staticmethod
-    def _environ_reads(symbols: SymbolTable) -> Set[str]:
-        """Env-var names passed to os.getenv / os.environ reads."""
-        read: Set[str] = set()
-        for info in symbols.iter_modules():
-            constants: Dict[str, str] = {}
-            for node in info.tree.body:
-                if isinstance(node, ast.Assign) and isinstance(
-                    node.value, ast.Constant
-                ):
-                    value = node.value.value
-                    if isinstance(value, str):
-                        for target in node.targets:
-                            if isinstance(target, ast.Name):
-                                constants[target.id] = value
-            for node in ast.walk(info.tree):
-                key: ast.expr | None = None
-                if isinstance(node, ast.Call):
-                    func = node.func
-                    if not isinstance(func, ast.Attribute):
-                        continue
-                    is_getenv = (
-                        func.attr == "getenv"
-                        and isinstance(func.value, ast.Name)
-                        and func.value.id == "os"
-                    )
-                    is_environ_get = (
-                        func.attr == "get"
-                        and isinstance(func.value, ast.Attribute)
-                        and func.value.attr == "environ"
-                    )
-                    if (is_getenv or is_environ_get) and node.args:
-                        key = node.args[0]
-                elif isinstance(node, ast.Subscript):
-                    value = node.value
-                    if (
-                        isinstance(value, ast.Attribute)
-                        and value.attr == "environ"
-                    ):
-                        key = node.slice
-                if key is None:
+    def _environ_reads(info: ModuleInfo) -> List[Tuple[str, int]]:
+        """``(name, line)`` of each os.getenv / os.environ read."""
+        constants: Dict[str, str] = {}
+        for node in info.tree.body:
+            if isinstance(node, ast.Assign) and isinstance(
+                node.value, ast.Constant
+            ):
+                value = node.value.value
+                if isinstance(value, str):
+                    for target in node.targets:
+                        if isinstance(target, ast.Name):
+                            constants[target.id] = value
+        reads: List[Tuple[str, int]] = []
+        for node in ast.walk(info.tree):
+            key: ast.expr | None = None
+            if isinstance(node, ast.Call):
+                func = node.func
+                if not isinstance(func, ast.Attribute):
                     continue
-                if isinstance(key, ast.Constant) and isinstance(
-                    key.value, str
+                is_getenv = (
+                    func.attr == "getenv"
+                    and isinstance(func.value, ast.Name)
+                    and func.value.id == "os"
+                )
+                is_environ_get = (
+                    func.attr == "get"
+                    and isinstance(func.value, ast.Attribute)
+                    and func.value.attr == "environ"
+                )
+                if (is_getenv or is_environ_get) and node.args:
+                    key = node.args[0]
+            elif isinstance(node, ast.Subscript):
+                value = node.value
+                if (
+                    isinstance(value, ast.Attribute)
+                    and value.attr == "environ"
                 ):
-                    read.add(key.value)
-                elif isinstance(key, ast.Name) and key.id in constants:
-                    read.add(constants[key.id])
-        return read
+                    key = node.slice
+            if key is None:
+                continue
+            if isinstance(key, ast.Constant) and isinstance(
+                key.value, str
+            ):
+                reads.append((key.value, node.lineno))
+            elif isinstance(key, ast.Name) and key.id in constants:
+                reads.append((constants[key.id], node.lineno))
+        return reads
 
 
 @rule

@@ -1,7 +1,7 @@
 """Run-scoped observability: tracing, metrics, and inspection.
 
-Three pillars, all off unless enabled via ``SystemConfig(observe=True)``
-or ``GRIT_TRACE=1``:
+Three pillars, all off unless a run is handed a
+:class:`~repro.obs.run.RunObservation` (``Engine(observation=...)``):
 
 * :mod:`repro.obs.tracer` — span instrumentation of UVM driver
   operations on per-GPU tracks, in *simulated* cycles, exported as
@@ -31,11 +31,7 @@ from repro.obs.metrics import (
     MetricSpec,
     MetricsRegistry,
 )
-from repro.obs.run import (
-    OBSERVE_ENV_VAR,
-    RunObservation,
-    observe_enabled,
-)
+from repro.obs.run import RunObservation
 from repro.obs.trace_schema import validate_chrome_trace
 from repro.obs.tracer import ENGINE_TRACK, Span, SpanTracer, to_chrome_trace
 
@@ -45,13 +41,11 @@ __all__ = [
     "MetricKind",
     "MetricSpec",
     "MetricsRegistry",
-    "OBSERVE_ENV_VAR",
     "RunObservation",
     "Span",
     "SpanTracer",
     "build_registry",
     "busiest_pages",
-    "observe_enabled",
     "page_lifecycle",
     "render_lifecycle",
     "scheme_transitions",

@@ -1,28 +1,16 @@
-"""Perf-trajectory benchmarks and the regression gate (host side).
+"""Committed counter baselines: ``repro bench`` (host side).
 
-GRIT's claims are throughput claims, so the repo needs a machine-
-readable performance history: this module runs a small suite of figure
-benchmarks with wall-time and counter instrumentation, writes one
-structured ``BENCH_<name>.json`` baseline per case, and compares fresh
-measurements against committed baselines (``repro bench --compare``).
+This module runs a small suite of cases, one simulation each, writes
+one structured ``BENCH_<name>.json`` baseline per case — the case's
+configuration plus its simulator counters — and checks fresh runs
+against committed baselines (``repro bench --compare``).
 
-Two regression axes, handled differently because their noise differs:
-
-* **simulated counters** (total cycles, faults, migrations, ...) are a
-  pure function of (config, workload, policy, scale) — bit-identical
-  across machines and reruns.  Any drift is a real behaviour change
-  and fails the gate exactly, regardless of threshold.
-* **wall time** is noisy, so the gate is min-of-N (the minimum of N
-  repetitions estimates the noise floor) with a configurable relative
-  threshold: a regression is flagged only when
-  ``current_min > baseline_min * (1 + threshold)``.  Cross-machine
-  comparisons should pass ``counters_only=True`` — wall baselines only
-  mean something on the hardware that wrote them (the stored
-  environment fingerprint says which that was).
-
-Like :mod:`repro.obs.profile` this module reads the wall clock, so it
-lives outside the simulation core and is not re-exported from
-``repro.obs``; import it directly.
+Simulated counters (total cycles, faults, migrations, ...) are a pure
+function of (config, workload, policy, scale): bit-identical across
+machines and reruns, so any drift is a real behaviour change and fails
+the check exactly.  Wall time is not measured here; the cases replay
+in milliseconds, far too short to resolve a 10 % change.  Replay
+throughput is measured by ``python -m benchmarks.perf``.
 """
 
 from __future__ import annotations
@@ -31,15 +19,16 @@ import dataclasses
 import json
 import os
 import platform
-import statistics
 from typing import Dict, List, Sequence, Tuple
 
-from repro.obs import catalog
-from repro.obs.metrics import MetricsRegistry
+from repro.config import SystemConfig
+from repro.policies import make_policy
+from repro.sim.engine import simulate
+from repro.workloads import make_workload
 
 #: Baseline file schema; bump on shape changes so stale committed
 #: baselines fail loudly instead of comparing apples to oranges.
-BENCH_SCHEMA_VERSION = 1
+BENCH_SCHEMA_VERSION = 2
 
 #: Baseline filename pattern (``BENCH_<case>.json``).
 BASELINE_PREFIX = "BENCH_"
@@ -52,13 +41,6 @@ SCALE_ENV_VAR = "REPRO_BENCH_SCALE"
 #: small enough for CI, large enough to exercise every mechanism.
 DEFAULT_SCALE = 0.05
 
-#: Repetitions per case; min-of-N needs N > 1 to reject noise, and the
-#: baseline records all N so the spread is inspectable.
-DEFAULT_REPEATS = 3
-
-#: Relative wall-time slowdown tolerated before the gate fails.
-DEFAULT_THRESHOLD = 0.25
-
 #: Simulator counters recorded in baselines.  ``total_cycles`` is the
 #: headline (simulated execution time); the rest attribute a cycle
 #: change to the mechanism that caused it.
@@ -70,6 +52,12 @@ COUNTER_KEYS: Tuple[str, ...] = (
     "duplications",
     "evictions",
     "remote_accesses",
+)
+
+#: Case fields a baseline records and a comparison must match.
+_IDENTITY_FIELDS = (
+    "workload", "policy", "num_gpus", "contention", "page_size",
+    "topology", "fast_path",
 )
 
 
@@ -93,9 +81,8 @@ class BenchCase:
     #: Interconnect fabric shape the case runs on (see
     #: repro.interconnect.routing).
     topology: str = "all-to-all"
-    #: Whether the vectorized steady-state fast path is enabled (see
-    #: repro.sim.fastpath); counters are identical either way, only
-    #: wall time differs.
+    #: Whether the steady-state fast path is enabled (see
+    #: repro.sim.fastpath); counters are identical either way.
     fast_path: bool = True
 
 
@@ -112,8 +99,7 @@ DEFAULT_CASES: Tuple[BenchCase, ...] = (
         num_gpus=4, contention="queued",
     ),
     # Large pages lengthen steady-state runs, so this case is where
-    # the vectorized fast path earns its keep; its counters are gated
-    # like every other case (fast path is bit-identical by design).
+    # batched fast-path rounds do most of the work.
     BenchCase(
         "fir-grit-fastpath", "fir", "grit",
         num_gpus=4, page_size=65536,
@@ -141,7 +127,7 @@ def default_scale() -> float:
 
 
 def env_fingerprint() -> Dict[str, object]:
-    """Where a baseline was measured (wall times are machine-bound)."""
+    """The host a measurement ran on (for wall-time records)."""
     return {
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
@@ -153,131 +139,43 @@ def env_fingerprint() -> Dict[str, object]:
 
 @dataclasses.dataclass
 class BenchResult:
-    """Measurements of one case: N wall timings plus counters."""
+    """The counters of one simulated case."""
 
     case: BenchCase
     scale: float
-    #: Wall seconds per repetition, in execution order.
-    wall_seconds: List[float]
-    #: Phase name -> wall seconds per repetition.
-    phase_seconds: Dict[str, List[float]]
-    #: Deterministic simulator counters (identical across repeats).
     counters: Dict[str, int]
 
-    @property
-    def repeats(self) -> int:
-        return len(self.wall_seconds)
-
     def to_baseline(self) -> dict:
-        """The ``BENCH_<name>.json`` document for this measurement."""
-        return {
+        """The ``BENCH_<name>.json`` document for this result."""
+        document: dict = {
             "schema_version": BENCH_SCHEMA_VERSION,
             "name": self.case.name,
-            "workload": self.case.workload,
-            "policy": self.case.policy,
-            "num_gpus": self.case.num_gpus,
-            "contention": self.case.contention,
-            "page_size": self.case.page_size,
-            "topology": self.case.topology,
-            "fast_path": self.case.fast_path,
-            "scale": self.scale,
-            "repeats": self.repeats,
-            "timings": {
-                "wall_seconds": {
-                    "min": min(self.wall_seconds),
-                    "median": statistics.median(self.wall_seconds),
-                    "all": list(self.wall_seconds),
-                },
-                "phases": {
-                    name: {
-                        "min": min(samples),
-                        "median": statistics.median(samples),
-                    }
-                    for name, samples in sorted(
-                        self.phase_seconds.items()
-                    )
-                },
-            },
-            "counters": dict(self.counters),
-            "env": env_fingerprint(),
         }
+        for field in _IDENTITY_FIELDS:
+            document[field] = getattr(self.case, field)
+        document["scale"] = self.scale
+        document["counters"] = dict(self.counters)
+        return document
 
 
-def run_case(
-    case: BenchCase,
-    scale: float,
-    repeats: int = DEFAULT_REPEATS,
-    registry: MetricsRegistry | None = None,
-    inject_slowdown: float = 0.0,
-) -> BenchResult:
-    """Measure one case ``repeats`` times.
-
-    ``inject_slowdown`` adds that many wall seconds to every repetition
-    — a CI drill proving the gate actually fires; it never touches
-    simulated behaviour.
-    """
-    from repro.obs.profile import profile_run
-
-    if repeats < 1:
-        raise BenchError("repeats must be >= 1")
-    wall: List[float] = []
-    phases: Dict[str, List[float]] = {}
-    counters: Dict[str, int] = {}
-    for _ in range(repeats):
-        profiled = profile_run(
-            case.workload,
-            case.policy,
-            num_gpus=case.num_gpus,
-            scale=scale,
-            page_size=case.page_size,
-            contention=case.contention,
-            topology=case.topology,
-            fast_path=case.fast_path,
-        )
-        if registry is not None:
-            registry.inc(catalog.BENCH_RUNS)
-        wall.append(
-            profiled.profiler.total_seconds() + inject_slowdown
-        )
-        for name, seconds in profiled.profiler.phases:
-            phases.setdefault(name, []).append(seconds)
-        result = profiled.result
-        measured = dict(result.counters.as_dict())
-        measured["total_cycles"] = result.total_cycles
-        fresh = {key: int(measured[key]) for key in COUNTER_KEYS}
-        if counters and fresh != counters:
-            raise BenchError(
-                f"{case.name}: counters drifted between repetitions "
-                f"of one run — the simulator is nondeterministic"
-            )
-        counters = fresh
+def run_case(case: BenchCase, scale: float) -> BenchResult:
+    """Simulate one case once and collect its counters."""
+    config = SystemConfig(
+        num_gpus=case.num_gpus,
+        page_size=case.page_size,
+        contention=case.contention,
+        topology=case.topology,
+        fast_path=case.fast_path,
+    )
+    trace = make_workload(case.workload, num_gpus=case.num_gpus, scale=scale)
+    result = simulate(config, trace, make_policy(case.policy))
+    measured = result.counters.as_dict()
+    measured["total_cycles"] = result.total_cycles
     return BenchResult(
         case=case,
         scale=scale,
-        wall_seconds=wall,
-        phase_seconds=phases,
-        counters=counters,
+        counters={key: int(measured[key]) for key in COUNTER_KEYS},
     )
-
-
-def run_suite(
-    cases: Sequence[BenchCase],
-    scale: float,
-    repeats: int = DEFAULT_REPEATS,
-    registry: MetricsRegistry | None = None,
-    inject_slowdown: float = 0.0,
-) -> List[BenchResult]:
-    """Measure every case in order."""
-    return [
-        run_case(
-            case,
-            scale,
-            repeats=repeats,
-            registry=registry,
-            inject_slowdown=inject_slowdown,
-        )
-        for case in cases
-    ]
 
 
 # ----------------------------------------------------------------------
@@ -322,50 +220,23 @@ def load_baseline(path: str) -> dict:
 
 
 # ----------------------------------------------------------------------
-# the regression gate
+# the counter check
 # ----------------------------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
-class Regression:
-    """One gate finding."""
+def compare_case(current: BenchResult, baseline: dict) -> List[str]:
+    """Counter drift of one case against its baseline, one line each.
 
-    case: str
-    #: ``counter`` (simulated behaviour changed) or ``wall``
-    #: (measured slowdown past the threshold).
-    kind: str
-    message: str
-
-
-def compare_case(
-    current: BenchResult,
-    baseline: dict,
-    threshold: float = DEFAULT_THRESHOLD,
-    counters_only: bool = False,
-) -> List[Regression]:
-    """Gate one case's fresh measurement against its baseline.
-
-    Counter drift always fails (deterministic identity); wall time
-    fails only past ``threshold`` on the min-of-N estimate, and not at
-    all with ``counters_only`` (the right mode when the baseline was
-    written on different hardware).
+    A baseline measured under a different configuration or scale is
+    a hard error, not a drift: its counters describe another run.
     """
     name = current.case.name
-    findings: List[Regression] = []
-    for field in ("workload", "policy", "num_gpus", "contention",
-                  "page_size", "topology", "fast_path", "scale"):
-        # Older baselines predate some fields; each absent field
-        # defaults to the value every baseline was measured with at
-        # the time (flat contention, 4 KiB pages, all-to-all fabric,
-        # fast path on).
-        defaults = {
-            "contention": "none", "page_size": 4096,
-            "topology": "all-to-all", "fast_path": True,
-        }
-        recorded = baseline.get(field, defaults.get(field))
-        measured = getattr(
-            current.case, field, None
-        ) if field != "scale" else current.scale
+    for field in (*_IDENTITY_FIELDS, "scale"):
+        recorded = baseline.get(field)
+        measured = (
+            current.scale if field == "scale"
+            else getattr(current.case, field)
+        )
         if recorded != measured:
             raise BenchError(
                 f"{name}: baseline was measured with {field}="
@@ -373,61 +244,25 @@ def compare_case(
                 f"regenerate the baseline or match the flags"
             )
     base_counters = baseline.get("counters", {})
-    for key in COUNTER_KEYS:
-        if key not in base_counters:
-            continue
-        expected = int(base_counters[key])
-        measured = int(current.counters[key])
-        if measured != expected:
-            findings.append(
-                Regression(
-                    case=name,
-                    kind="counter",
-                    message=(
-                        f"{key} changed: baseline {expected:,} -> "
-                        f"measured {measured:,} (simulated behaviour "
-                        f"is deterministic; this is a real change)"
-                    ),
-                )
-            )
-    if not counters_only:
-        base_min = float(
-            baseline["timings"]["wall_seconds"]["min"]
-        )
-        cur_min = min(current.wall_seconds)
-        limit = base_min * (1.0 + threshold)
-        if cur_min > limit:
-            findings.append(
-                Regression(
-                    case=name,
-                    kind="wall",
-                    message=(
-                        f"wall time regressed: min-of-"
-                        f"{current.repeats} {cur_min:.3f}s > "
-                        f"baseline {base_min:.3f}s "
-                        f"* (1 + {threshold:g})"
-                    ),
-                )
-            )
-    return findings
+    return [
+        f"{name}: {key} changed: baseline {int(base_counters[key]):,} "
+        f"-> measured {current.counters[key]:,} (simulated behaviour "
+        f"is deterministic; this is a real change)"
+        for key in COUNTER_KEYS
+        if key in base_counters
+        and current.counters[key] != int(base_counters[key])
+    ]
 
 
 def compare_suite(
-    results: Sequence[BenchResult],
-    baseline_dir: str,
-    threshold: float = DEFAULT_THRESHOLD,
-    counters_only: bool = False,
-    registry: MetricsRegistry | None = None,
-) -> Tuple[List[Regression], List[str]]:
-    """Gate a suite; returns ``(regressions, notes)``.
+    results: Sequence[BenchResult], baseline_dir: str
+) -> Tuple[List[str], List[str]]:
+    """Check a suite; returns ``(regressions, notes)``.
 
-    Notes are non-fatal: a missing baseline (new case) or an
-    environment-fingerprint mismatch (wall numbers from different
-    hardware) is reported but does not fail the gate by itself.
+    A case with no baseline (a new case) is noted, not failed.
     """
-    regressions: List[Regression] = []
+    regressions: List[str] = []
     notes: List[str] = []
-    env = env_fingerprint()
     for result in results:
         path = baseline_path(baseline_dir, result.case.name)
         if not os.path.exists(path):
@@ -436,24 +271,7 @@ def compare_suite(
                 f"(new case? write one with 'repro bench')"
             )
             continue
-        baseline = load_baseline(path)
-        if registry is not None:
-            registry.inc(catalog.BENCH_COMPARISONS)
-        if not counters_only and baseline.get("env") != env:
-            notes.append(
-                f"{result.case.name}: baseline env differs from this "
-                f"machine; wall-time comparison is unreliable "
-                f"(consider --counters-only)"
-            )
-        found = compare_case(
-            result,
-            baseline,
-            threshold=threshold,
-            counters_only=counters_only,
-        )
-        if registry is not None and found:
-            registry.inc(catalog.BENCH_REGRESSIONS, len(found))
-        regressions.extend(found)
+        regressions.extend(compare_case(result, load_baseline(path)))
     return regressions, notes
 
 

@@ -56,13 +56,6 @@ DRAM_PEAK_OCCUPANCY = "memsys.dram.peak_occupancy"
 UVM_FAULT_SERVICE_CYCLES = "uvm.fault.service_cycles"
 UVM_MIGRATION_CYCLES = "uvm.migration.cycles"
 
-# -- perf-trajectory counters (emitted by the repro bench harness; see
-#    repro.obs.bench) --------------------------------------------------
-
-BENCH_RUNS = "bench.runs.total"
-BENCH_COMPARISONS = "bench.comparisons.total"
-BENCH_REGRESSIONS = "bench.regressions.total"
-
 
 def _counter(
     name: str, description: str, unit: str = "events"
@@ -146,37 +139,9 @@ METRICS: Tuple[MetricSpec, ...] = (
 )
 
 
-#: Perf-trajectory metrics: registered by :func:`build_bench_registry`
-#: for ``repro bench`` runs (wall-clock domain, never per simulated
-#: run).
-BENCH_METRICS: Tuple[MetricSpec, ...] = (
-    _counter(
-        BENCH_RUNS, "benchmark case repetitions executed", unit="runs"
-    ),
-    _counter(
-        BENCH_COMPARISONS,
-        "benchmark cases compared against a baseline",
-        unit="cases",
-    ),
-    _counter(
-        BENCH_REGRESSIONS,
-        "regressions flagged by the perf-trajectory gate",
-        unit="findings",
-    ),
-)
-
-
 def build_registry() -> MetricsRegistry:
     """A fresh registry with the whole per-run catalogue registered."""
     registry = MetricsRegistry()
     for spec in METRICS:
-        registry.register(spec)
-    return registry
-
-
-def build_bench_registry() -> MetricsRegistry:
-    """A fresh registry with the perf-trajectory (bench) metrics."""
-    registry = MetricsRegistry()
-    for spec in BENCH_METRICS:
         registry.register(spec)
     return registry

@@ -112,10 +112,6 @@ def profile_run(
     policy: str,
     num_gpus: int = 4,
     scale: float = 0.3,
-    page_size: int = 4096,
-    contention: str = "none",
-    topology: str = "all-to-all",
-    fast_path: bool = True,
 ) -> ProfiledRun:
     """Run one (workload, policy) pair with wall-time phase timing.
 
@@ -132,13 +128,7 @@ def profile_run(
     from repro.workloads import make_workload
 
     profiler = PhaseProfiler()
-    config = SystemConfig(
-        num_gpus=num_gpus,
-        page_size=page_size,
-        contention=contention,
-        topology=topology,
-        fast_path=fast_path,
-    )
+    config = SystemConfig(num_gpus=num_gpus)
     with profiler.phase("generate-trace"):
         trace = make_workload(workload, num_gpus=num_gpus, scale=scale)
     with profiler.phase("build-engine"):

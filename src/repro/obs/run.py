@@ -1,4 +1,4 @@
-"""Run-scoped observability bundle and the enable switch.
+"""Run-scoped observability bundle.
 
 One :class:`RunObservation` per simulation ties the three pillars
 together: it owns the span tracer and the metrics registry, installs
@@ -6,14 +6,15 @@ itself as the event-log listener (machine events become child spans
 and histogram observations), and is sampled by the engine on a fixed
 simulated-cycle interval.
 
-Observability follows the sanitizer's enablement pattern: off by
-default with zero fast-path cost, switched on per run with
-``SystemConfig(observe=True)`` or globally with ``GRIT_TRACE=1``.
+Observability is off by default at zero fast-path cost.  A run is
+observed only when its caller hands the engine an observation,
+``Engine(observation=RunObservation())``, as the CLI's ``trace``
+command and ``--trace``/``--metrics`` flags and
+``ExperimentRunner(artifacts_dir=...)`` do.
 """
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, Dict
 
 from repro.obs import catalog
@@ -28,12 +29,8 @@ from repro.obs.tracer import (
 from repro.stats.events import Event, EventKind, EventLog
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.config import SystemConfig
     from repro.policies.base import PlacementPolicy
     from repro.uvm.machine import MachineState
-
-#: Environment variable that force-enables observability everywhere.
-OBSERVE_ENV_VAR = "GRIT_TRACE"
 
 #: Simulated cycles between metric samples (a run in the hundreds of
 #: millions of cycles yields a few thousand sample rows per metric).
@@ -42,13 +39,6 @@ DEFAULT_SAMPLE_INTERVAL = 100_000
 #: Metrics-export formats understood by :meth:`RunObservation.
 #: write_metrics` (format name -> file suffix shown in help text).
 METRICS_FORMATS = ("jsonl", "csv", "prom")
-
-
-def observe_enabled(config: "SystemConfig") -> bool:
-    """True when the config flag or the environment enables observing."""
-    if config.observe:
-        return True
-    return os.environ.get(OBSERVE_ENV_VAR, "") == "1"
 
 
 class RunObservation:

@@ -44,10 +44,10 @@ from repro.config import SystemConfig
 from repro.constants import HOST_NODE, LatencyCategory
 from repro.errors import SimulationError
 from repro.memsys.address import AddressSpace
-from repro.obs.run import RunObservation, observe_enabled
+from repro.obs.run import RunObservation
 from repro.obs.tracer import ENGINE_TRACK
 from repro.policies.base import PlacementPolicy
-from repro.sim.fastpath import FastPath, fast_path_enabled
+from repro.sim.fastpath import FastPath
 from repro.sim.pipeline import TranslationStage
 from repro.sim.result import SimulationResult
 from repro.stats.timeline import IntervalTimeline
@@ -108,10 +108,8 @@ class Engine:
         # Observability binds before the driver is built so the driver
         # sees the tracer and wraps its entry points.
         self.observation = observation
-        if self.observation is None and observe_enabled(config):
-            self.observation = RunObservation()
-        if self.observation is not None:
-            self.observation.bind(self.machine, policy)
+        if observation is not None:
+            observation.bind(self.machine, policy)
         self.driver = UvmDriver(self.machine, policy)
         self.fault_service = self.driver.fault_service
         self.stage = TranslationStage(
@@ -122,9 +120,8 @@ class Engine:
         #: batched rounds (repro.sim.fastpath) only in flat mode, since
         #: under contention="queued" every access is an order-sensitive
         #: reservation against live link/DRAM state.
-        self.fused_check = fast_path_enabled(config)
         self.fastpath: FastPath | None = None
-        if self.fused_check and not self.machine.kernel.queued:
+        if config.fast_path and not self.machine.kernel.queued:
             self.fastpath = FastPath(self)
         if prefetcher is not None:
             prefetcher.bind(self.driver)
@@ -148,7 +145,7 @@ class Engine:
         cursors = stage.cursors
         service = self.fault_service
         inline = service.inline
-        fused = self.fused_check
+        fused = self.config.fast_path
         fastpath = self.fastpath
         if fused:
             l1s = [gpu.tlbs.l1 for gpu in gpus]

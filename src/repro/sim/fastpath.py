@@ -83,18 +83,16 @@ protection fault, an interval/observation boundary, a pending drain —
 the detector stops the run there and the engine falls back to the
 fused check or the scalar pipeline for that access.  Results are
 bit-for-bit identical with the fast path on or off;
-``tests/sim/test_fastpath.py`` and the golden/bench gates in CI hold
-that line.
+``tests/sim/test_fastpath.py`` and the pipeline and bench goldens, run
+both ways, hold that line.
 
-Enable/disable with ``SystemConfig(fast_path=...)``, the
-``--no-fast-path`` CLI flag, or the ``GRIT_FAST_PATH`` environment
-variable (the same global-override pattern as ``GRIT_CONTENTION``).
+Enable/disable with ``SystemConfig(fast_path=...)`` or the
+``--no-fast-path`` CLI flag.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
 import numpy as np
@@ -103,15 +101,10 @@ from repro.errors import ConfigError
 from repro.sim.pipeline import CURSOR_CHUNK
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.config import SystemConfig
     from repro.sim.engine import Engine
     from repro.sim.gpu import GpuNode
 
-__all__ = ["FAST_PATH_ENV_VAR", "FastPath", "fast_path_enabled"]
-
-#: Environment variable globally overriding ``config.fast_path``
-#: (``1`` forces the fast path on, ``0`` forces it off).
-FAST_PATH_ENV_VAR = "GRIT_FAST_PATH"
+__all__ = ["FastPath"]
 
 #: Smallest verification window; fault-heavy phases settle here so a
 #: run cut short by the next fault wastes little verification work.
@@ -125,24 +118,6 @@ _SCALAR_COMMIT = 64
 #: Sentinel horizon for a GPU whose verified run reaches the end of
 #: its stream: nothing after it can constrain the other GPUs.
 _NO_HORIZON = float("inf")
-
-
-def fast_path_enabled(config: "SystemConfig") -> bool:
-    """Resolve the effective fast-path setting for one run.
-
-    The environment variable wins over the config field, mirroring
-    ``GRIT_CONTENTION``/``GRIT_SANITIZE``/``GRIT_TRACE``.
-    """
-    raw = os.environ.get(FAST_PATH_ENV_VAR, "")
-    if raw:
-        if raw == "1":
-            return True
-        if raw == "0":
-            return False
-        raise ConfigError(
-            f"{FAST_PATH_ENV_VAR}={raw!r} must be '0' or '1'"
-        )
-    return config.fast_path
 
 
 class FastPath:

@@ -29,16 +29,14 @@ read a raw charging constant off the :class:`~repro.config.
 LatencyModel` — a new cost either goes through the kernel or fails
 the lint build.
 
-Select the mode with ``SystemConfig(contention=...)``, the
-``--contention`` CLI flag, or the ``GRIT_CONTENTION`` environment
-variable (the same global-override pattern as ``GRIT_SANITIZE`` and
-``GRIT_TRACE``).
+Select the mode with ``SystemConfig(contention=...)`` or the
+``--contention`` CLI flag; the kernel reads ``config.contention`` and
+nothing else.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 from repro.constants import HOST_NODE
@@ -49,37 +47,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.config import LatencyModel, SystemConfig
     from repro.interconnect.topology import Topology
 
-#: Contention modes accepted by ``SystemConfig.contention``.
-CONTENTION_MODES = ("none", "queued")
-
-#: Environment variable globally overriding the configured mode
-#: (``queued`` or the shorthand ``1`` enable contention; ``none``
-#: forces it off).
-CONTENTION_ENV_VAR = "GRIT_CONTENTION"
-
 #: Cache-line payload a far data access occupies its link with in
 #: queued mode (typical GPU memory transaction granularity).
 CACHE_LINE_BYTES = 128
-
-
-def contention_mode(config: "SystemConfig") -> str:
-    """Resolve the effective contention mode for one run.
-
-    The environment variable wins over the config field so a whole
-    sweep can be flipped without touching call sites, mirroring
-    ``GRIT_SANITIZE``/``GRIT_TRACE``.
-    """
-    raw = os.environ.get(CONTENTION_ENV_VAR, "")
-    if raw:
-        if raw == "1":
-            return "queued"
-        if raw in CONTENTION_MODES:
-            return raw
-        raise ConfigError(
-            f"{CONTENTION_ENV_VAR}={raw!r} is not one of "
-            f"{'/'.join(CONTENTION_MODES)}"
-        )
-    return config.contention
 
 
 @dataclasses.dataclass(frozen=True)
@@ -139,7 +109,7 @@ class TimingKernel:
     ) -> None:
         self.latency = config.latency
         self.topology = topology
-        self.mode = contention_mode(config)
+        self.mode = config.contention
         #: True in ``"queued"`` mode (cached flag for the hot path).
         self.queued = self.mode == "queued"
         self.costs = AccessCosts.from_latency(config.latency)
@@ -235,9 +205,9 @@ class TimingKernel:
         there, so the bulk charge is exactly ``count`` scalar charges.
         In queued mode each access is a timestamped DRAM-channel
         reservation whose cost depends on its own arrival time, so
-        bulk pricing would reorder the queue — the steady-state fast
-        path is disabled under ``contention="queued"`` and this method
-        refuses to guess.
+        bulk pricing would reorder the queue — batched fast-path rounds
+        never run under ``contention="queued"`` and this method refuses
+        to guess.
         """
         if self.queued:
             raise ConfigError(

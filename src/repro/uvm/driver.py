@@ -39,7 +39,7 @@ from repro.uvm.fault_service import FaultService
 from repro.uvm.faults import FaultEvent
 from repro.uvm.machine import MachineState
 from repro.uvm.migration import MigrationEngine
-from repro.uvm.sanitizer import MachineSanitizer, sanitizer_enabled
+from repro.uvm.sanitizer import MachineSanitizer
 
 #: Driver entry points the sanitizer sweeps after (each one is a
 #: complete UVM operation; internals may be transiently inconsistent).
@@ -78,7 +78,7 @@ class UvmDriver:
             self, batch_size=machine.config.fault_batch_size
         )
         self.sanitizer: MachineSanitizer | None = None
-        if sanitizer_enabled(machine.config):
+        if machine.config.sanitize:
             self.sanitizer = MachineSanitizer(
                 machine,
                 allow_writable_replicas=(

@@ -4,7 +4,9 @@ The UVM driver, its mechanics engines, the placement policy, and the
 simulation engine all operate on the same collection of architectural
 structures; :class:`MachineState` is that collection.  It is built once
 per simulation from a :class:`~repro.config.SystemConfig` and the
-workload's footprint.
+workload's footprint, and the config's fields are its only settings:
+``topology`` shapes the fabric and ``contention`` picks the timing
+kernel's mode.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ class MachineState:
         initial_scheme: Scheme = Scheme.ON_TOUCH,
     ) -> "MachineState":
         """Construct the full machine for a workload footprint."""
-        from repro.interconnect.routing import topology_spec
+        from repro.interconnect.routing import TopologySpec
         from repro.sim.gpu import GpuNode
         from repro.sim.timing import TimingKernel
 
@@ -67,7 +69,9 @@ class MachineState:
             for g in range(config.num_gpus)
         ]
         topology = Topology(
-            config.num_gpus, config.latency, spec=topology_spec(config)
+            config.num_gpus,
+            config.latency,
+            spec=TopologySpec.parse(config.topology, config.num_gpus),
         )
         return cls(
             config=config,
@@ -92,8 +96,7 @@ class MachineState:
         Convenience wrapper over
         :class:`repro.uvm.sanitizer.MachineSanitizer` for tests and
         ad-hoc debugging; the UVM driver runs the same sweep after
-        every operation when ``config.sanitize`` / ``GRIT_SANITIZE=1``
-        is set.
+        every operation when ``config.sanitize`` is set.
         """
         from repro.uvm.sanitizer import MachineSanitizer
 

@@ -7,9 +7,11 @@ results without failing any test.  The sanitizer re-derives the
 contracts between them and raises :class:`~repro.errors.SanitizerError`
 the moment one breaks, naming the driver operation that broke it.
 
-Enable it with ``SystemConfig(sanitize=True)`` or ``GRIT_SANITIZE=1``
-in the environment; the cost is a full state sweep per driver
-operation, so it is a debugging tool, not a default.
+The UVM driver arms it when ``config.sanitize`` is set:
+``SystemConfig(sanitize=True)``, or ``GRIT_SANITIZE=1`` in the
+environment, which :mod:`repro.config` reads into that field's default.
+The cost is a full state sweep per driver operation, so it is a
+debugging tool, not a default.
 
 Invariants checked (see docs/static_analysis.md for the catalog):
 
@@ -30,27 +32,14 @@ Invariants checked (see docs/static_analysis.md for the catalog):
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, List
 
-from repro.config import SystemConfig
 from repro.constants import HOST_NODE, GroupBits
 from repro.errors import SanitizerError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.memsys.page import PageInfo
     from repro.uvm.machine import MachineState
-
-#: Environment variable that force-enables the sanitizer everywhere.
-SANITIZE_ENV_VAR = "GRIT_SANITIZE"
-
-
-def sanitizer_enabled(config: SystemConfig) -> bool:
-    """True when the config flag or the environment enables sanitizing."""
-    if config.sanitize:
-        return True
-    return os.environ.get(SANITIZE_ENV_VAR, "") == "1"
-
 
 class MachineSanitizer:
     """Validates a :class:`MachineState` against the UVM invariants."""

@@ -13,6 +13,18 @@ from repro.harness.cache import (
     _serialize,
     config_fingerprint,
 )
+from repro.policies import make_policy
+from repro.sim.engine import simulate
+from repro.workloads import make_workload
+
+#: fir/grit at scale 0.1 on the default config (4 GPUs, flat timing,
+#: all-to-all fabric), and the same run under contention="queued".
+FIR_GRIT_CYCLES = 1_038_972
+FIR_GRIT_QUEUED_CYCLES = 1_051_658
+
+#: Config field -> the value its retired ``GRIT_<FIELD>`` environment
+#: override once forced on every run, unseen by the fingerprint.
+RETIRED_OVERRIDES = {"contention": "queued", "topology": "ring"}
 
 
 class TestFingerprint:
@@ -27,6 +39,42 @@ class TestFingerprint:
         assert (
             config_fingerprint(SystemConfig(issue_gap=5)) != base
         )
+
+
+class TestEffectiveConfig:
+    """The config is a run's only source of settings, so a cached
+    result is always the result of the config its key fingerprints."""
+
+    def test_environment_cannot_reshape_a_fingerprinted_run(
+        self, tmp_path, monkeypatch
+    ):
+        for field, value in RETIRED_OVERRIDES.items():
+            monkeypatch.setenv(f"GRIT_{field.upper()}", value)
+        result = simulate(
+            SystemConfig(),
+            make_workload("fir", num_gpus=4, scale=0.1),
+            make_policy("grit"),
+        )
+        assert result.total_cycles == FIR_GRIT_CYCLES
+        assert result.details["contention"] == "none"
+        assert result.details["topology"] == "all-to-all"
+
+        default = config_fingerprint(SystemConfig())
+        for field, value in RETIRED_OVERRIDES.items():
+            changed = SystemConfig(**{field: value})
+            assert config_fingerprint(changed) != default, field
+
+        flat = DiskCachedRunner(tmp_path, scale=0.1)
+        flat_result = flat.run(flat.key("fir", "grit"))
+        assert flat_result.total_cycles == FIR_GRIT_CYCLES
+        queued = DiskCachedRunner(
+            tmp_path,
+            base_config=SystemConfig(contention="queued"),
+            scale=0.1,
+        )
+        queued_result = queued.run(queued.key("fir", "grit"))
+        assert (queued.disk_hits, queued.disk_misses) == (0, 1)
+        assert queued_result.total_cycles == FIR_GRIT_QUEUED_CYCLES
 
 
 class TestDiskCachedRunner:

@@ -1,12 +1,15 @@
-"""Fixed corpus: every knob is consumed.
-
-The GRIT_TUNER environment variable mirrors ``TunerConfig.live_knob``
-at runtime (documented here so the round-trip check passes).
+"""Fixed corpus: every knob is consumed, and only config.py reads the
+environment: GRIT_TUNER sets ``TunerConfig.live_knob``'s default.
 """
 
 import dataclasses
+import os
+
+TUNER_ENV = "GRIT_TUNER"
 
 
 @dataclasses.dataclass
 class TunerConfig:
-    live_knob: int = 4
+    live_knob: int = dataclasses.field(
+        default_factory=lambda: int(os.environ.get(TUNER_ENV, "4"))
+    )

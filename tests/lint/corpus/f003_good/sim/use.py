@@ -1,10 +1,5 @@
-"""Reads the knob and the env var that mirrors it."""
-
-import os
-
-TUNER_ENV = "GRIT_TUNER"
+"""Reads the knob; the config already holds the env var's value."""
 
 
 def effective(config):
-    base = config.live_knob
-    return int(os.environ.get(TUNER_ENV, base))
+    return config.live_knob * 2

@@ -29,7 +29,7 @@ def make_package(tmp_path, files):
 
 
 class TestConfigProvenance:
-    def test_flags_dead_knob_and_unread_env_var(self):
+    def test_flags_dead_knob_and_env_read_outside_config(self):
         hits = lint_corpus("f003_bad", "GRIT-F003")
         messages = sorted(f.message for f in hits)
         assert len(hits) == 2
@@ -37,21 +37,25 @@ class TestConfigProvenance:
         assert "GRIT_TUNER" in messages[1]
         knob = next(f for f in hits if "dead_knob" in f.message)
         assert knob.path == "config.py"
+        env = next(f for f in hits if "GRIT_TUNER" in f.message)
+        assert env.path == "sim/use.py"
+        assert env.line == 9
 
     def test_silent_on_fixed_corpus(self):
         assert lint_corpus("f003_good", "GRIT-F003") == []
 
-    def test_env_var_must_be_documented_in_config(self, tmp_path):
+    def test_every_env_read_form_outside_config_is_flagged(self, tmp_path):
         root = make_package(
             tmp_path,
             {
                 "config.py": """\
                 import dataclasses
+                import os
 
 
                 @dataclasses.dataclass
                 class C:
-                    knob: int = 1
+                    knob: int = int(os.getenv("GRIT_KNOB", "1"))
                 """,
                 "sim/use.py": """\
                 import os
@@ -59,14 +63,21 @@ class TestConfigProvenance:
 
                 def effective(config):
                     base = config.knob
+                    os.getenv("GRIT_A")
+                    os.environ["GRIT_B"]
+                    os.environ.get("HOME")
                     return os.environ.get("GRIT_SECRET", base)
                 """,
             },
         )
         findings = LintEngine(root).run()
         hits = [f for f in findings if f.rule_id == "GRIT-F003"]
-        assert len(hits) == 1
-        assert "round-trip" in hits[0].message
+        assert sorted((f.path, f.line) for f in hits) == [
+            ("sim/use.py", 6),
+            ("sim/use.py", 7),
+            ("sim/use.py", 9),
+        ]
+        assert all("outside config.py" in f.message for f in hits)
 
 
 class TestCliProvenance:

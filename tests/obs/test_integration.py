@@ -1,13 +1,11 @@
 """End-to-end observability: determinism, schema, reconstruction."""
 
-import dataclasses
 import json
 
 from repro.config import SystemConfig
 from repro.constants import Scheme
 from repro.obs import RunObservation, validate_chrome_trace
 from repro.obs.inspect import scheme_transitions
-from repro.obs.run import DEFAULT_SAMPLE_INTERVAL
 from repro.obs.tracer import write_chrome_trace
 from repro.policies import make_policy
 from repro.sim.engine import Engine
@@ -146,27 +144,7 @@ class TestInspectionReconstruction:
 
 
 class TestConfigPlumbing:
-    def test_observe_flag_auto_creates_observation(self):
-        config = dataclasses.replace(SystemConfig(num_gpus=2), observe=True)
-        engine = Engine(config, ping_pong_trace(), make_policy("on_touch"))
-        assert engine.observation is not None
-        assert engine.observation.sample_interval == (
-            DEFAULT_SAMPLE_INTERVAL
-        )
-        engine.run()
-        assert engine.observation.tracer.spans
-
-    def test_env_var_enables_observation(self, monkeypatch):
-        monkeypatch.setenv("GRIT_TRACE", "1")
-        engine = Engine(
-            SystemConfig(num_gpus=2),
-            ping_pong_trace(),
-            make_policy("on_touch"),
-        )
-        assert engine.observation is not None
-
-    def test_default_is_off(self, monkeypatch):
-        monkeypatch.delenv("GRIT_TRACE", raising=False)
+    def test_default_is_off(self):
         engine = Engine(
             SystemConfig(num_gpus=2),
             ping_pong_trace(),

@@ -210,10 +210,3 @@ class TestCatalog:
     def test_every_spec_has_a_description(self):
         for spec in catalog.METRICS:
             assert spec.description
-
-    def test_build_bench_registry_registers_bench_metrics(self):
-        registry = catalog.build_bench_registry()
-        assert set(registry.names()) == {
-            spec.name for spec in catalog.BENCH_METRICS
-        }
-        assert catalog.BENCH_RUNS in registry.names()

@@ -11,9 +11,6 @@ committed golden and bench baseline valid.
 
 from __future__ import annotations
 
-import os
-from unittest import mock
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -151,8 +148,7 @@ def _flat_kernel(latency: LatencyModel) -> TimingKernel:
     """A contention-free kernel on the classic 4-GPU all-to-all."""
     config = SystemConfig(num_gpus=4, latency=latency)
     topology = Topology(4, latency)
-    with mock.patch.dict(os.environ, {"GRIT_CONTENTION": "none"}):
-        return TimingKernel(config, topology)
+    return TimingKernel(config, topology)
 
 
 class TestAllToAllClosedForms:

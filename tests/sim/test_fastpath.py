@@ -32,7 +32,7 @@ from repro.interconnect.routing import TopologySpec
 from repro.policies import make_policy
 from repro.policies.on_touch import OnTouchPolicy
 from repro.sim.engine import Engine, simulate
-from repro.sim.fastpath import FAST_PATH_ENV_VAR, FastPath
+from repro.sim.fastpath import FastPath
 from repro.stats.events import EventLog
 from repro.stats.timeline import IntervalTimeline
 from repro.workloads.base import WorkloadTrace
@@ -301,30 +301,6 @@ class TestFastPathEquivalence:
             policy,
         )
         assert on == off
-
-    def test_env_var_overrides_config(self, monkeypatch):
-        trace = _random_trace(7, 2)
-        monkeypatch.setenv(FAST_PATH_ENV_VAR, "0")
-        off = simulate(
-            SystemConfig(num_gpus=2, fast_path=True),
-            _random_trace(7, 2),
-            make_policy("on_touch"),
-        )
-        assert off.counters.fastpath_runs == 0
-        monkeypatch.setenv(FAST_PATH_ENV_VAR, "1")
-        on = simulate(
-            SystemConfig(num_gpus=2, fast_path=False),
-            trace,
-            make_policy("on_touch"),
-        )
-        assert on.counters.fastpath_runs > 0
-        monkeypatch.setenv(FAST_PATH_ENV_VAR, "maybe")
-        with pytest.raises(ConfigError):
-            simulate(
-                SystemConfig(num_gpus=2),
-                _random_trace(7, 2),
-                make_policy("on_touch"),
-            )
 
     def test_queued_contention_disables_the_fast_path(self):
         # Batched rounds only: the fused steady check still runs under

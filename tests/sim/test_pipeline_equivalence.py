@@ -44,6 +44,19 @@ GOLDEN_8GPU = json.loads(GOLDEN_8GPU_PATH.read_text())
 GOLDEN_8GPU_KEYS = sorted(GOLDEN_8GPU)
 
 
+def _fast_path_on_and_off(keys):
+    """Each golden key with the fast path on, then off.
+
+    On entries are identified by the bare key, off entries by the key
+    plus ``-no-fast-path``.  Off, every access takes the full
+    pipeline, so the pipeline and both shortcuts are held to the same
+    capture.
+    """
+    return [pytest.param(key, True, id=key) for key in keys] + [
+        pytest.param(key, False, id=f"{key}-no-fast-path") for key in keys
+    ]
+
+
 def _run(
     workload: str, policy: str, num_gpus: int = 4, **config_changes
 ) -> dict:
@@ -80,10 +93,12 @@ def _assert_matches_golden(got: dict, want: dict, key: str) -> None:
 class TestInlineEquivalence:
     """batch_size 1 reproduces the pre-pipeline simulator exactly."""
 
-    @pytest.mark.parametrize("key", GOLDEN_KEYS)
-    def test_bit_identical_to_pre_pipeline_golden(self, key):
+    @pytest.mark.parametrize(
+        "key,fast_path", _fast_path_on_and_off(GOLDEN_KEYS)
+    )
+    def test_bit_identical_to_pre_pipeline_golden(self, key, fast_path):
         workload, policy = key.split("/")
-        got = _run(workload, policy)
+        got = _run(workload, policy, fast_path=fast_path)
         _assert_matches_golden(got, GOLDEN[key], key)
 
     def test_inline_runs_form_no_batches(self):
@@ -95,10 +110,18 @@ class TestInlineEquivalence:
 class TestScaleOutGolden:
     """8-GPU nvswitch runs reproduce their committed capture."""
 
-    @pytest.mark.parametrize("key", GOLDEN_8GPU_KEYS)
-    def test_bit_identical_to_8gpu_golden(self, key):
+    @pytest.mark.parametrize(
+        "key,fast_path", _fast_path_on_and_off(GOLDEN_8GPU_KEYS)
+    )
+    def test_bit_identical_to_8gpu_golden(self, key, fast_path):
         workload, policy = key.split("/")
-        got = _run(workload, policy, num_gpus=8, topology="nvswitch")
+        got = _run(
+            workload,
+            policy,
+            num_gpus=8,
+            topology="nvswitch",
+            fast_path=fast_path,
+        )
         _assert_matches_golden(got, GOLDEN_8GPU[key], key)
 
     def test_golden_covers_full_matrix(self):

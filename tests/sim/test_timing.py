@@ -13,10 +13,8 @@ from repro.policies import make_policy
 from repro.sim.engine import simulate
 from repro.sim.timing import (
     CACHE_LINE_BYTES,
-    CONTENTION_ENV_VAR,
     AccessCosts,
     TimingKernel,
-    contention_mode,
 )
 from repro.workloads import make_workload
 
@@ -29,31 +27,19 @@ def build_kernel(mode: str, num_gpus: int = 4):
 
 class TestContentionMode:
     def test_config_default_is_none(self):
-        assert contention_mode(SystemConfig()) == "none"
+        config = SystemConfig()
+        kernel = TimingKernel(config, Topology(4, config.latency))
+        assert kernel.mode == "none"
+        assert not kernel.queued
 
     def test_config_queued(self):
-        config = SystemConfig(contention="queued")
-        assert contention_mode(config) == "queued"
+        kernel, _ = build_kernel("queued")
+        assert kernel.mode == "queued"
+        assert kernel.queued
 
     def test_config_rejects_unknown_mode(self):
         with pytest.raises(ConfigError):
             SystemConfig(contention="chaotic")
-
-    def test_env_overrides_config(self, monkeypatch):
-        monkeypatch.setenv(CONTENTION_ENV_VAR, "queued")
-        assert contention_mode(SystemConfig()) == "queued"
-        monkeypatch.setenv(CONTENTION_ENV_VAR, "none")
-        config = SystemConfig(contention="queued")
-        assert contention_mode(config) == "none"
-
-    def test_env_shorthand_one(self, monkeypatch):
-        monkeypatch.setenv(CONTENTION_ENV_VAR, "1")
-        assert contention_mode(SystemConfig()) == "queued"
-
-    def test_env_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv(CONTENTION_ENV_VAR, "yes")
-        with pytest.raises(ConfigError):
-            contention_mode(SystemConfig())
 
 
 class TestDramChannel:

@@ -2,41 +2,42 @@
 
 import pytest
 
-from repro.config import SystemConfig
+from repro.config import SANITIZE_ENV_VAR, SystemConfig
 from repro.constants import HOST_NODE, GroupBits
 from repro.errors import SanitizerError
 from repro.policies import make_policy
 from repro.sim import simulate
 from repro.uvm.driver import UvmDriver
 from repro.uvm.machine import MachineState
-from repro.uvm.sanitizer import (
-    SANITIZE_ENV_VAR,
-    MachineSanitizer,
-    sanitizer_enabled,
-)
+from repro.uvm.sanitizer import MachineSanitizer
 from repro.workloads import make_workload
 
 
-def _machine(num_gpus=4, sanitize=False):
-    config = SystemConfig(num_gpus=num_gpus, sanitize=sanitize)
+def _machine(num_gpus=4, **changes):
+    config = SystemConfig(num_gpus=num_gpus, **changes)
     return MachineState.build(config, footprint_pages=128)
 
 
 class TestEnablement:
-    def test_off_by_default(self):
-        assert not sanitizer_enabled(SystemConfig())
+    def test_off_by_default(self, monkeypatch):
+        monkeypatch.delenv(SANITIZE_ENV_VAR, raising=False)
+        assert not SystemConfig().sanitize
 
     def test_config_flag(self):
-        assert sanitizer_enabled(SystemConfig(sanitize=True))
+        assert SystemConfig(sanitize=True).sanitize
 
     def test_environment_variable(self, monkeypatch):
         monkeypatch.setenv(SANITIZE_ENV_VAR, "1")
-        assert sanitizer_enabled(SystemConfig())
+        config = SystemConfig()
+        assert config.sanitize
+        assert config.to_dict()["sanitize"] is True
+        # An explicit value is the effective one.
+        assert not SystemConfig(sanitize=False).sanitize
         monkeypatch.setenv(SANITIZE_ENV_VAR, "0")
-        assert not sanitizer_enabled(SystemConfig())
+        assert not SystemConfig().sanitize
 
     def test_driver_installs_hooks_only_when_enabled(self):
-        off = UvmDriver(_machine(), make_policy("on_touch"))
+        off = UvmDriver(_machine(sanitize=False), make_policy("on_touch"))
         assert off.sanitizer is None
         on = UvmDriver(_machine(sanitize=True), make_policy("on_touch"))
         assert on.sanitizer is not None
