@@ -3,7 +3,9 @@
 Commands:
 
 * ``list`` — show registered workloads, policies, and figures.
-* ``run`` — simulate one (workload, policy) pair and print the summary.
+* ``run`` — simulate one (workload, policy) pair and print the summary;
+  ``--trace``/``--metrics`` export a Chrome trace-event JSON (opens in
+  Perfetto) and the sampled metric series as JSON-lines.
 * ``figure`` — regenerate paper figures (text / JSON / CSV, optional
   disk cache).
 * ``sweep`` — tabulate a workload x policy matrix, simulated in this
@@ -13,11 +15,8 @@ Commands:
   charts).
 * ``characterize`` — print a workload's sharing/RW characterization.
 * ``dump-trace`` — export a generated trace as ``.npz``.
-* ``trace`` — simulate with observability on and export a Chrome
-  trace-event JSON (opens in Perfetto) plus optional metrics.
 * ``inspect`` — reconstruct page lifecycles from the structured event
   log (``--vpn N`` for one page, otherwise the busiest pages).
-* ``profile`` — wall-time phase profile of the simulator itself.
 * ``bench`` — simulate the bench cases, write their counters as
   ``BENCH_<name>.json`` baselines, and check them against committed
   baselines (``--compare``).
@@ -85,34 +84,17 @@ def _build_parser() -> argparse.ArgumentParser:
         "batched rounds) and run every access through the full "
         "pipeline; results are bit-identical either way",
     )
-    _add_observe_arguments(run)
-
-    trace_cmd = sub.add_parser(
-        "trace",
-        help="simulate with observability and export a Perfetto trace",
+    run.add_argument(
+        "--trace",
+        metavar="PATH",
+        default=None,
+        help="export a Chrome trace-event JSON of the run to PATH",
     )
-    trace_cmd.add_argument("workload", choices=available_workloads())
-    trace_cmd.add_argument("policy", choices=available_policies())
-    trace_cmd.add_argument("output", help="Chrome trace-event JSON path")
-    trace_cmd.add_argument("--gpus", type=int, default=4)
-    trace_cmd.add_argument("--scale", type=float, default=0.3)
-    trace_cmd.add_argument(
+    run.add_argument(
         "--metrics",
         metavar="PATH",
         default=None,
-        help="also export the sampled metric series to PATH",
-    )
-    trace_cmd.add_argument(
-        "--metrics-format",
-        choices=["jsonl", "csv", "prom"],
-        default="jsonl",
-    )
-    trace_cmd.add_argument(
-        "--sample-interval",
-        type=int,
-        default=None,
-        metavar="CYCLES",
-        help="simulated cycles between metric samples",
+        help="export the sampled metric series to PATH as JSON-lines",
     )
 
     inspect_cmd = sub.add_parser(
@@ -134,22 +116,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=10,
         help="pages shown in the busiest-pages ranking",
-    )
-
-    profile_cmd = sub.add_parser(
-        "profile",
-        help="wall-time phase profile of the simulator itself",
-    )
-    profile_cmd.add_argument("workload", choices=available_workloads())
-    profile_cmd.add_argument("policy", choices=available_policies())
-    profile_cmd.add_argument("--gpus", type=int, default=4)
-    profile_cmd.add_argument("--scale", type=float, default=0.3)
-    profile_cmd.add_argument(
-        "--json",
-        metavar="PATH",
-        default=None,
-        help="also write the phase timings as metrics JSON-lines "
-        "('-' for stdout)",
     )
 
     bench = sub.add_parser(
@@ -317,83 +283,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_observe_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--trace",
-        metavar="PATH",
-        default=None,
-        help="export a Chrome trace-event JSON of the run to PATH",
-    )
-    parser.add_argument(
-        "--metrics",
-        metavar="PATH",
-        default=None,
-        help="export the sampled metric series to PATH",
-    )
-    parser.add_argument(
-        "--metrics-format",
-        choices=["jsonl", "csv", "prom"],
-        default="jsonl",
-    )
-    parser.add_argument(
-        "--sample-interval",
-        type=int,
-        default=None,
-        metavar="CYCLES",
-        help="simulated cycles between metric samples",
-    )
-
-
 def _cmd_list() -> int:
     print("workloads:", ", ".join(available_workloads()))
     print("policies: ", ", ".join(available_policies()))
     print("figures:  ", ", ".join(sorted(FIGURES)))
     return 0
-
-
-def _observed_simulate(
-    config: SystemConfig,
-    workload: str,
-    policy: str,
-    scale: float,
-    sample_interval: int | None,
-):
-    """Run one observed simulation; returns (result, observation)."""
-    from repro.obs import RunObservation
-    from repro.obs.run import DEFAULT_SAMPLE_INTERVAL
-    from repro.sim.engine import Engine
-
-    trace = make_workload(
-        workload, num_gpus=config.num_gpus, scale=scale
-    )
-    observation = RunObservation(
-        sample_interval=sample_interval or DEFAULT_SAMPLE_INTERVAL
-    )
-    engine = Engine(
-        config, trace, make_policy(policy), observation=observation
-    )
-    return engine.run(), observation
-
-
-def _write_observation_outputs(
-    observation,
-    result,
-    trace_path: str | None,
-    metrics_path: str | None,
-    metrics_format: str,
-) -> None:
-    if trace_path:
-        observation.write_trace(
-            trace_path,
-            metadata={
-                "workload": result.workload,
-                "policy": result.policy,
-            },
-        )
-        print(f"wrote {trace_path}")
-    if metrics_path:
-        observation.write_metrics(metrics_path, metrics_format)
-        print(f"wrote {metrics_path}")
 
 
 def _warn_dropped_events(result) -> None:
@@ -415,62 +309,32 @@ def _cmd_run(args: argparse.Namespace) -> int:
         topology=args.topology,
         fast_path=not args.no_fast_path,
     )
+    trace = make_workload(args.workload, num_gpus=args.gpus, scale=args.scale)
+    observation = None
     if args.trace or args.metrics:
-        result, observation = _observed_simulate(
-            config,
-            args.workload,
-            args.policy,
-            args.scale,
-            args.sample_interval,
-        )
-    else:
-        trace = make_workload(
-            args.workload, num_gpus=args.gpus, scale=args.scale
-        )
-        result = simulate(config, trace, make_policy(args.policy))
-        observation = None
+        from repro.obs import RunObservation
+
+        observation = RunObservation()
+    result = simulate(
+        config, trace, make_policy(args.policy), observation=observation
+    )
     rows = {
         key: [value] for key, value in result.summary().items()
     }
     print(format_table(["value"], rows, row_header="metric"))
     if observation is not None:
-        _write_observation_outputs(
-            observation,
-            result,
-            args.trace,
-            args.metrics,
-            args.metrics_format,
-        )
-    _warn_dropped_events(result)
-    return 0
-
-
-def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.obs.trace_schema import validate_trace_file
-
-    config = SystemConfig(num_gpus=args.gpus)
-    result, observation = _observed_simulate(
-        config,
-        args.workload,
-        args.policy,
-        args.scale,
-        args.sample_interval,
-    )
-    _write_observation_outputs(
-        observation, result, args.output, args.metrics, args.metrics_format
-    )
-    errors = validate_trace_file(args.output)
-    if errors:
-        for error in errors:
-            print(f"error: {error}", file=sys.stderr)
-        return 1
-    tallies = observation.tracer.span_counts()
-    total = sum(tallies.values())
-    print(f"{total} spans over {result.total_cycles:,} simulated cycles:")
-    for name in sorted(tallies):
-        print(f"  {name:<24s} {tallies[name]:>8d}")
-    if observation.tracer.dropped:
-        print(f"  (dropped past capacity: {observation.tracer.dropped})")
+        if args.trace:
+            observation.write_trace(
+                args.trace,
+                metadata={
+                    "workload": result.workload,
+                    "policy": result.policy,
+                },
+            )
+            print(f"wrote {args.trace}")
+        if args.metrics:
+            observation.write_metrics(args.metrics)
+            print(f"wrote {args.metrics}")
     _warn_dropped_events(result)
     return 0
 
@@ -501,31 +365,6 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
             print(f"  vpn {vpn:<10d} {count:>6d} events")
         print("re-run with --vpn N for a page's full lifecycle")
     _warn_dropped_events(result)
-    return 0
-
-
-def _cmd_profile(args: argparse.Namespace) -> int:
-    from repro.obs.profile import profile_run
-
-    profiled = profile_run(
-        args.workload,
-        args.policy,
-        num_gpus=args.gpus,
-        scale=args.scale,
-    )
-    result = profiled.result
-    print(
-        f"{result.workload}/{result.policy}: "
-        f"{result.counters.accesses:,} accesses, "
-        f"{result.total_cycles:,} simulated cycles"
-    )
-    print(profiled.profiler.render())
-    if args.json == "-":
-        print(profiled.profiler.to_jsonl(), end="")
-    elif args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            handle.write(profiled.profiler.to_jsonl())
-        print(f"wrote {args.json}")
     return 0
 
 
@@ -784,12 +623,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _cmd_report(args)
         if args.command == "dump-trace":
             return _cmd_dump_trace(args)
-        if args.command == "trace":
-            return _cmd_trace(args)
         if args.command == "inspect":
             return _cmd_inspect(args)
-        if args.command == "profile":
-            return _cmd_profile(args)
         if args.command == "bench":
             return _cmd_bench(args)
         if args.command == "sweep":

@@ -37,8 +37,11 @@ from repro.stats.latency import LatencyBreakdown
 #: changes — a new/renamed :class:`EventCounters` field, a new
 #: :class:`LatencyBreakdown` category, or a new top-level key — so
 #: entries written by older code are rejected as misses instead of
-#: rehydrating with silently-missing counters.
-SCHEMA_VERSION = 2
+#: rehydrating with silently-missing counters.  Bump it too when older
+#: code stored wrong results under a key: version 2 cached ``grit_acud``
+#: runs at the default GRIT settings whatever the key's threshold or
+#: ablation flags said.
+SCHEMA_VERSION = 3
 
 
 class StaleCacheEntry(ValueError):

@@ -14,7 +14,6 @@ from typing import Dict, Iterable, List, Tuple
 
 from repro.config import SystemConfig
 from repro.policies import make_policy
-from repro.policies.base import PlacementPolicy
 from repro.prefetch import TreePrefetcher
 from repro.sim import Engine, SimulationResult
 from repro.workloads import make_workload
@@ -102,7 +101,7 @@ class ExperimentRunner:
         trace = make_workload(
             key.workload, num_gpus=key.num_gpus, scale=key.scale
         )
-        policy = self._build_policy(key)
+        policy = make_policy(key.policy)
         prefetcher = TreePrefetcher() if key.prefetch else None
         observation = None
         if self.artifacts_dir is not None:
@@ -139,27 +138,6 @@ class ExperimentRunner:
         observation.write_metrics(
             os.path.join(self.artifacts_dir, f"{stem}.metrics.jsonl")
         )
-
-    def _build_policy(self, key: RunKey) -> PlacementPolicy:
-        is_variant = not (
-            key.use_pa_cache
-            and key.use_neighbor_prediction
-            and key.fault_threshold == 4
-            and key.max_group_pages == 512
-        )
-        if key.policy == "grit" and is_variant:
-            from repro.config import GritConfig
-            from repro.policies.grit_policy import GritPolicy
-
-            return GritPolicy(
-                grit_config=GritConfig(
-                    fault_threshold=key.fault_threshold,
-                    use_pa_cache=key.use_pa_cache,
-                    use_neighbor_prediction=key.use_neighbor_prediction,
-                    max_group_pages=key.max_group_pages,
-                )
-            )
-        return make_policy(key.policy)
 
     def dropped_event_total(self) -> int:
         """Events dropped by saturated event logs across cached runs.

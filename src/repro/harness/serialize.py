@@ -1,4 +1,4 @@
-"""Serialization of results and figures (JSON / CSV).
+"""Serialization of figures (JSON / CSV).
 
 Lets downstream tooling (plotting scripts, CI dashboards) consume the
 reproduction's outputs without importing the library.
@@ -12,26 +12,6 @@ import json
 from typing import Dict
 
 from repro.harness.figures import FigureData
-from repro.sim.result import SimulationResult
-
-
-def result_to_dict(result: SimulationResult) -> Dict[str, object]:
-    """Flatten a simulation result to plain JSON-friendly types."""
-    data = result.summary()
-    data["per_gpu_cycles"] = list(result.per_gpu_cycles)
-    data["scheme_usage"] = result.counters.scheme_usage_fractions()
-    data["latency_fractions"] = result.breakdown.fractions()
-    data["details"] = {
-        key: value
-        for key, value in result.details.items()
-        if isinstance(value, (int, float, str, list))
-    }
-    return data
-
-
-def result_to_json(result: SimulationResult, indent: int = 2) -> str:
-    """JSON rendering of result_to_dict."""
-    return json.dumps(result_to_dict(result), indent=indent, sort_keys=True)
 
 
 def figure_to_dict(figure: FigureData) -> Dict[str, object]:

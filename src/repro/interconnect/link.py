@@ -7,13 +7,13 @@ oversubscription analysis in Section VI-C2).
 
 Cost computation and traffic accounting are separate: the pure
 ``transfer_cost``/``message_cost`` queries never mutate the counters,
-so a policy's what-if lookahead cannot inflate ``bytes_transferred``.
-The side-effecting ``record_*`` methods do the accounting, and the
-``reserve_*`` methods additionally treat the link as a contended
-resource: each reservation waits behind the link's ``busy_until``
-horizon, then occupies the wire for its serialization time (the fixed
-latency is propagation delay and pipelines with other messages).  The
-timing kernel (:mod:`repro.sim.timing`) picks between the flat and the
+and the side-effecting ``record_*`` methods do the accounting; the
+flat timing mode calls one of each per hop.  The ``reserve_*``
+methods additionally treat the link as a contended resource: each
+reservation waits behind the link's ``busy_until`` horizon, then
+occupies the wire for its serialization time (the fixed latency is
+propagation delay and pipelines with other messages).  The timing
+kernel (:mod:`repro.sim.timing`) picks between the flat and the
 reserved paths based on ``SystemConfig.contention``.
 """
 
@@ -50,7 +50,7 @@ class Link:
     # -- pure cost queries (no side effects) ---------------------------
 
     def transfer_cost(self, size_bytes: int) -> int:
-        """Uncontended cycles to move ``size_bytes``; pure what-if."""
+        """Uncontended cycles to move ``size_bytes``; no accounting."""
         if size_bytes < 0:
             raise ValueError("transfer size must be non-negative")
         return self.latency + self.serialization_cycles(size_bytes)
@@ -75,18 +75,6 @@ class Link:
     def record_message(self) -> None:
         """Account one control message in the traffic counters."""
         self.messages += 1
-
-    # -- combined convenience (classic flat-cost path) -----------------
-
-    def transfer_cycles(self, size_bytes: int) -> int:
-        """Cycles to move ``size_bytes`` over this link, with accounting."""
-        self.record_transfer(size_bytes)
-        return self.transfer_cost(size_bytes)
-
-    def message_cycles(self) -> int:
-        """Cycles for a payload-free control message, with accounting."""
-        self.record_message()
-        return self.message_cost()
 
     # -- contended reservations (timestamped; "queued" mode) -----------
 
@@ -135,11 +123,3 @@ class Link:
         wait = self._wait(now)
         self.busy_until = now + wait + self.serialization_cycles(size_bytes)
         return wait
-
-    def reset_stats(self) -> None:
-        """Zero the traffic and contention counters."""
-        self.bytes_transferred = 0
-        self.messages = 0
-        self.busy_until = 0
-        self.wait_cycles = 0
-        self.peak_occupancy = 0

@@ -44,16 +44,6 @@ class Topology:
         self._node_of: List[int] = fabric.node_of
         self._routes: Dict[Tuple[int, int], Route] = fabric.routes
 
-    @property
-    def host_uplink(self) -> Link:
-        """The first host root port (the only one on single-host specs).
-
-        Kept for the classic all-to-all surface; route-aware code
-        should use ``route(...).shared`` so multi-node traffic charges
-        the right node's port.
-        """
-        return self._host_uplinks[0]
-
     # -- routing -------------------------------------------------------
 
     def route(self, src: int, dst: int) -> Route:
@@ -70,36 +60,6 @@ class Topology:
     def route_items(self) -> ItemsView[Tuple[int, int], Route]:
         """Every ``(src, dst) -> route`` entry of the fabric."""
         return self._routes.items()
-
-    def link_between(self, src: int, dst: int) -> Link:
-        """Resolve a *direct* link between two nodes.
-
-        Classic single-hop surface: the GPU pair's NVLink on direct
-        fabrics, the GPU's own PCIe link toward the host.  Multi-hop
-        pairs (switched, ring-distant, cross-node) have no direct link
-        — use :meth:`route`.
-        """
-        route = self.route(src, dst)
-        if route.hop_count != 1:
-            raise ConfigError(
-                f"no direct link between node {src} and node {dst} "
-                f"on topology {self.spec.describe()!r}; the route "
-                f"has {route.hop_count} hops"
-            )
-        return route.hops[0]
-
-    def transfer(self, src: int, dst: int, size_bytes: int) -> int:
-        """Cycles to move a payload between two nodes (flat, accounted)."""
-        return sum(
-            hop.transfer_cycles(size_bytes)
-            for hop in self.route(src, dst).hops
-        )
-
-    def control_message(self, src: int, dst: int) -> int:
-        """Cycles for a payload-free message (fault, invalidation, ack)."""
-        return sum(
-            hop.message_cycles() for hop in self.route(src, dst).hops
-        )
 
     # -- link inventory ------------------------------------------------
 

@@ -151,10 +151,3 @@ class DramChannel:
                 self.peak_occupancy = wait
         self.busy_until = now + wait + self.service_cycles
         return wait
-
-    def reset_stats(self) -> None:
-        """Zero the occupancy state and contention counters."""
-        self.busy_until = 0
-        self.accesses = 0
-        self.wait_cycles = 0
-        self.peak_occupancy = 0

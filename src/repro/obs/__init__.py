@@ -8,14 +8,12 @@ Three pillars, all off unless a run is handed a
   Chrome trace-event JSON (opens directly in Perfetto);
 * :mod:`repro.obs.metrics` + :mod:`repro.obs.catalog` — a typed
   counter / gauge / histogram registry sampled per interval and
-  exported as JSON-lines, CSV, or Prometheus text;
+  exported as JSON-lines;
 * :mod:`repro.obs.inspect` — page-lifecycle reconstruction from the
   structured event log (the ``grit-repro inspect`` subcommand).
 
-:mod:`repro.obs.profile` (wall-time phase profiling) is deliberately
-not re-exported here: it reads the wall clock, which the simulation
-core must never do, and it imports the engine — importing it lazily
-keeps this package safe to import from :mod:`repro.sim`.
+Host wall time is not observed here: ``python -m benchmarks.perf``
+measures it, layer by layer with ``--trace 1``.
 """
 
 from repro.obs.catalog import build_registry

@@ -11,11 +11,11 @@ Three instrument kinds, mirroring the Prometheus data model:
 * **histogram** — a bucketed distribution (fault-service cycles).
 
 :meth:`MetricsRegistry.sample` snapshots every counter and gauge into
-a time series; the series exports as JSON-lines, CSV, or Prometheus
-text exposition format.  Every metric must be registered (with a
-description — the lint rule GRIT-C005 checks the catalog is emitted
-and documented) before it is written to; writes to unknown names
-raise, so a typo cannot silently create an undocumented series.
+a time series; the series exports as JSON-lines.  Every metric must be
+registered (with a description — the lint rule GRIT-C005 checks the
+catalog is emitted and documented) before it is written to; writes to
+unknown names raise, so a typo cannot silently create an undocumented
+series.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import dataclasses
 import enum
 import json
 import math
-import re
 from typing import Dict, List, Tuple
 
 
@@ -226,38 +225,6 @@ class MetricsRegistry:
                 )
             )
         return "\n".join(lines) + ("\n" if lines else "")
-
-    def to_csv(self) -> str:
-        """Sampled series as ``ts,metric,value`` rows."""
-        lines = ["ts,metric,value"]
-        for ts, name, value in self.samples:
-            lines.append(f"{ts},{name},{_format_number(value)}")
-        return "\n".join(lines) + "\n"
-
-    def to_prometheus(self) -> str:
-        """Final values in Prometheus text exposition format."""
-        lines: List[str] = []
-        for name in self.names():
-            spec = self._specs[name]
-            flat = prometheus_name(name)
-            lines.append(f"# HELP {flat} {spec.description}")
-            lines.append(f"# TYPE {flat} {spec.kind.value}")
-            if spec.kind is MetricKind.HISTOGRAM:
-                data = self._histograms[name]
-                for bound, count in data.cumulative_counts():
-                    lines.append(
-                        f'{flat}_bucket{{le="{_le_label(bound)}"}} {count}'
-                    )
-                lines.append(f"{flat}_sum {_format_number(data.total)}")
-                lines.append(f"{flat}_count {data.count}")
-            else:
-                lines.append(f"{flat} {_format_number(self._values[name])}")
-        return "\n".join(lines) + ("\n" if lines else "")
-
-
-def prometheus_name(name: str) -> str:
-    """Flatten a dotted metric name into a Prometheus-legal one."""
-    return re.sub(r"[^a-zA-Z0-9_]", "_", name)
 
 
 def _le_label(bound: float) -> str:

@@ -8,9 +8,9 @@ simulated-cycle interval.
 
 Observability is off by default at zero fast-path cost.  A run is
 observed only when its caller hands the engine an observation,
-``Engine(observation=RunObservation())``, as the CLI's ``trace``
-command and ``--trace``/``--metrics`` flags and
-``ExperimentRunner(artifacts_dir=...)`` do.
+``Engine(observation=RunObservation())``, as ``repro run --trace``
+/ ``--metrics`` and ``ExperimentRunner(artifacts_dir=...)`` (``figure``
+/ ``report --artifacts``) do.
 """
 
 from __future__ import annotations
@@ -35,10 +35,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Simulated cycles between metric samples (a run in the hundreds of
 #: millions of cycles yields a few thousand sample rows per metric).
 DEFAULT_SAMPLE_INTERVAL = 100_000
-
-#: Metrics-export formats understood by :meth:`RunObservation.
-#: write_metrics` (format name -> file suffix shown in help text).
-METRICS_FORMATS = ("jsonl", "csv", "prom")
 
 
 class RunObservation:
@@ -120,20 +116,7 @@ class RunObservation:
         """Write the trace JSON with a byte-stable layout."""
         write_chrome_trace(path, self.chrome_trace(metadata))
 
-    def render_metrics(self, fmt: str = "jsonl") -> str:
-        """The metrics series in one of :data:`METRICS_FORMATS`."""
-        if fmt == "jsonl":
-            return self.registry.to_jsonl()
-        if fmt == "csv":
-            return self.registry.to_csv()
-        if fmt == "prom":
-            return self.registry.to_prometheus()
-        raise ValueError(
-            f"unknown metrics format {fmt!r}; "
-            f"expected one of {', '.join(METRICS_FORMATS)}"
-        )
-
-    def write_metrics(self, path: str, fmt: str = "jsonl") -> None:
-        """Write the metrics series to ``path``."""
+    def write_metrics(self, path: str) -> None:
+        """Write the metrics series to ``path`` as JSON-lines."""
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.render_metrics(fmt))
+            handle.write(self.registry.to_jsonl())

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.config import GritConfig
 from repro.constants import FaultKind, Scheme
 from repro.core.grit import GritMechanism
 from repro.memsys.page import PageInfo
@@ -29,13 +28,8 @@ class GritPolicy(PlacementPolicy):
 
     name = "grit"
 
-    def __init__(
-        self,
-        grit_config: GritConfig | None = None,
-        acud: bool = False,
-    ) -> None:
+    def __init__(self, acud: bool = False) -> None:
         super().__init__()
-        self._grit_config = grit_config
         self._acud = acud
         self.mechanism: GritMechanism | None = None
         self._quiet: Dict[int, FaultObservation] = {}
@@ -43,13 +37,12 @@ class GritPolicy(PlacementPolicy):
             self.name = "grit_acud"
 
     def bind(self, machine: MachineState) -> None:
-        """Build the GRIT mechanism over the central page table."""
+        """Build the GRIT mechanism from ``machine.config.grit``."""
         super().bind(machine)
         if self._acud:
             self.flush_scale = machine.config.latency.acud_discount
-        config = self._grit_config or machine.config.grit
         self.mechanism = GritMechanism(
-            config=config,
+            config=machine.config.grit,
             latency=machine.config.latency,
             page_table=machine.central_pt,
         )
@@ -131,12 +124,8 @@ class GritPolicy(PlacementPolicy):
     def describe(self) -> str:
         """Report-friendly one-liner naming the active knobs."""
         parts = ["GRIT"]
-        config = (
-            self.mechanism.config
-            if self.mechanism is not None
-            else self._grit_config
-        )
-        if config is not None:
+        if self.mechanism is not None:
+            config = self.mechanism.config
             parts.append(f"threshold={config.fault_threshold}")
             if not config.use_pa_cache:
                 parts.append("no-PA-Cache")
@@ -146,17 +135,3 @@ class GritPolicy(PlacementPolicy):
             parts.append("ACUD")
         return " ".join(parts)
 
-
-def make_grit_variant(
-    fault_threshold: int = 4,
-    use_pa_cache: bool = True,
-    use_neighbor_prediction: bool = True,
-    acud: bool = False,
-) -> GritPolicy:
-    """Build the GRIT variants the evaluation sweeps (Figures 20/21/26)."""
-    config = GritConfig(
-        fault_threshold=fault_threshold,
-        use_pa_cache=use_pa_cache,
-        use_neighbor_prediction=use_neighbor_prediction,
-    )
-    return GritPolicy(grit_config=config, acud=acud)

@@ -11,16 +11,10 @@ from repro.policies.duplication import DuplicationPolicy
 from repro.policies.first_touch import FirstTouchPolicy
 from repro.policies.gps import GpsPolicy
 from repro.policies.griffin import GriffinPolicy
-from repro.policies.grit_policy import GritPolicy, make_grit_variant
+from repro.policies.grit_policy import GritPolicy
 from repro.policies.ideal import IdealPolicy
 from repro.policies.on_touch import OnTouchPolicy
 from repro.policies.transfw import GriffinTransFwPolicy, GritTransFwPolicy
-
-
-def _grit_acud() -> PlacementPolicy:
-    # The ACUD flush discount is resolved from the latency model at bind
-    # time, so GRIT+ACUD and Griffin use the same knob.
-    return make_grit_variant(acud=True)
 
 
 _FACTORIES: Dict[str, Callable[[], PlacementPolicy]] = {
@@ -30,7 +24,9 @@ _FACTORIES: Dict[str, Callable[[], PlacementPolicy]] = {
     "first_touch": FirstTouchPolicy,
     "ideal": IdealPolicy,
     "grit": GritPolicy,
-    "grit_acud": _grit_acud,
+    # The ACUD flush discount is resolved from the latency model at bind
+    # time, so GRIT+ACUD and Griffin use the same knob.
+    "grit_acud": lambda: GritPolicy(acud=True),
     "griffin_dpc": lambda: GriffinPolicy(acud=False),
     "griffin": lambda: GriffinPolicy(acud=True),
     "griffin_dpc_transfw": GriffinTransFwPolicy,

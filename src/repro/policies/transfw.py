@@ -9,28 +9,9 @@ the paper evaluates Griffin-DPC + Trans-FW.
 
 from __future__ import annotations
 
-from repro.policies.base import PlacementPolicy
 from repro.policies.griffin import GriffinPolicy
 from repro.policies.grit_policy import GritPolicy
 from repro.uvm.machine import MachineState
-
-
-def apply_transfw(policy: PlacementPolicy) -> PlacementPolicy:
-    """Stack Trans-FW's fault-service reduction onto a policy.
-
-    The scale is taken from the machine's latency model at bind time so
-    a single knob (``transfw_discount``) controls the whole study.
-    """
-    original_bind = policy.bind
-
-    def bind_with_transfw(machine: MachineState) -> None:
-        """Original bind plus the Trans-FW fault-service scale."""
-        original_bind(machine)
-        policy.fault_service_scale = machine.config.latency.transfw_discount
-
-    policy.bind = bind_with_transfw  # type: ignore[method-assign]
-    policy.name = f"{policy.name}_transfw"
-    return policy
 
 
 class GritTransFwPolicy(GritPolicy):

@@ -50,7 +50,6 @@ from repro.policies.base import PlacementPolicy
 from repro.sim.fastpath import FastPath
 from repro.sim.pipeline import TranslationStage
 from repro.sim.result import SimulationResult
-from repro.stats.timeline import IntervalTimeline
 from repro.uvm.driver import UvmDriver
 from repro.uvm.machine import MachineState
 from repro.workloads.base import WorkloadTrace
@@ -79,7 +78,6 @@ class Engine:
         trace: WorkloadTrace,
         policy: PlacementPolicy,
         prefetcher: "TreePrefetcher | None" = None,
-        timeline: IntervalTimeline | None = None,
         event_log: "EventLog | None" = None,
         observation: RunObservation | None = None,
     ) -> None:
@@ -92,7 +90,6 @@ class Engine:
         self.trace = trace
         self.policy = policy
         self.prefetcher = prefetcher
-        self.timeline = timeline
         self.address_space = AddressSpace(config.page_size)
         footprint = max(
             1,
@@ -134,7 +131,6 @@ class Engine:
         issue_gap = self.config.issue_gap
         interval = policy.interval_cycles
         next_interval = interval if interval else None
-        timeline = self.timeline
         observation = self.observation
         obs_next = (
             observation.sample_interval if observation is not None else None
@@ -222,9 +218,7 @@ class Engine:
                         )
                     if batched:
                         continue
-            base_vpn, vpn, is_write = stage.next_access(gpu_id)
-            if timeline is not None:
-                timeline.record(now, gpu_id, base_vpn, is_write)
+            vpn, is_write = stage.next_access(gpu_id)
             counters.record_access(is_write)
 
             pte = None
@@ -481,7 +475,6 @@ def simulate(
     trace: WorkloadTrace,
     policy: PlacementPolicy,
     prefetcher: "TreePrefetcher | None" = None,
-    timeline: IntervalTimeline | None = None,
     event_log: "EventLog | None" = None,
     observation: RunObservation | None = None,
 ) -> SimulationResult:
@@ -491,7 +484,6 @@ def simulate(
         trace,
         policy,
         prefetcher=prefetcher,
-        timeline=timeline,
         event_log=event_log,
         observation=observation,
     )

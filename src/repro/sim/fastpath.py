@@ -39,12 +39,12 @@ the end-of-stream drain of parked faults follows it as usual.)
 
 One steady access then costs exactly ``l1_lookup + local_access``
 cycles and advances the GPU's clock by that plus the issue gap; its
-only side effects are per-GPU L1/DRAM LRU promotion, the global
-access counters, and a timeline cell bump — all either per-GPU-local
-or commutative.  Steady accesses of *different* GPUs therefore
-commute, which is what lets :meth:`FastPath.round` batch every GPU's
-verified steady prefix in one step instead of degenerating to
-one-access runs under the engine's lockstep lowest-clock scheduling.
+only side effects are per-GPU L1/DRAM LRU promotion and the global
+access counters — all either per-GPU-local or commutative.  Steady
+accesses of *different* GPUs therefore commute, which is what lets
+:meth:`FastPath.round` batch every GPU's verified steady prefix in one
+step instead of degenerating to one-access runs under the engine's
+lockstep lowest-clock scheduling.
 
 A round works in three moves:
 
@@ -75,8 +75,8 @@ A round works in three moves:
    before anything interesting happens, so it is safe to batch.
 3. **Commit**: per GPU, price its sub-``H`` prefix in one step — bulk
    counter sums, one ``hits`` bump, L1/DRAM LRU promotion per unique
-   page in last-access order, grouped timeline records, and a single
-   clock advance through the timing kernel's bulk charge API.
+   page in last-access order, and a single clock advance through the
+   timing kernel's bulk charge API.
 
 The moment anything interesting happens — an L2 miss, a fault, a
 protection fault, an interval/observation boundary, a pending drain —
@@ -133,7 +133,6 @@ class FastPath:
         self.gpus = machine.gpus
         self.counters = machine.counters
         self.kernel = machine.kernel
-        self.timeline = engine.timeline
         self.cursors = engine.stage.cursors
         self.service = engine.fault_service
         self.inline = engine.fault_service.inline
@@ -384,7 +383,7 @@ class FastPath:
 
         Replicates exactly what ``count`` scalar iterations would have
         done: counters, L1 hit stats + MRU order, DRAM LRU/dirty
-        state, timeline cells, cursor position, and the clock.
+        state, cursor position, and the clock.
         """
         cursor = self.cursors[gpu_id]
         vpns, writes = cursor.peek_batch(count)
@@ -427,14 +426,6 @@ class FastPath:
                         dram.mark_dirty(page)
                     else:
                         dram.touch(page)
-            timeline = self.timeline
-            if timeline is not None:
-                when = clock
-                advance = self.advance
-                record = timeline.record
-                for vpn, is_write in zip(vl, wl):
-                    record(when, gpu_id, vpn, is_write)
-                    when += advance
             data_cycles = self.kernel.local_access_bulk(
                 gpu_id, count, clock
             )
@@ -485,44 +476,6 @@ class FastPath:
                         dram.mark_dirty(page)
                     else:
                         dram.touch(page)
-        if self.timeline is not None:
-            self._record_timeline(gpu_id, clock, count, vpns, writes)
         data_cycles = self.kernel.local_access_bulk(gpu_id, count, clock)
         node.clock = clock + count * self.overhead + data_cycles
         cursor.advance(count)
-
-    def _record_timeline(
-        self,
-        gpu_id: int,
-        clock: int,
-        count: int,
-        vpns: np.ndarray,
-        writes: np.ndarray,
-    ) -> None:
-        """Grouped timeline records for one run.
-
-        Access ``i`` lands at ``clock + i*advance``; the times are
-        monotone, so intervals form contiguous segments and each
-        segment groups its ``(vpn, is_write)`` pairs with one
-        ``np.unique`` instead of a dict probe per access.
-        """
-        timeline = self.timeline
-        times = clock + self.advance * np.arange(count, dtype=np.int64)
-        intervals = times // timeline.interval_length
-        seg_intervals, seg_starts = np.unique(
-            intervals, return_index=True
-        )
-        bounds = seg_starts.tolist() + [count]
-        base_vpns = vpns.astype(np.int64, copy=False)
-        for k, interval in enumerate(seg_intervals.tolist()):
-            start, end = bounds[k], bounds[k + 1]
-            # Pack (vpn, is_write) into one key; trace vpns are far
-            # below 2**62 so the shift cannot overflow.
-            keys = (base_vpns[start:end] << 1) | writes[start:end]
-            uniq_keys, key_counts = np.unique(keys, return_counts=True)
-            for key, tally in zip(
-                uniq_keys.tolist(), key_counts.tolist()
-            ):
-                timeline.record_bulk(
-                    interval, gpu_id, key >> 1, bool(key & 1), tally
-                )

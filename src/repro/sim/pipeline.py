@@ -159,10 +159,10 @@ class TranslationStage:
             StreamCursor(vpns, writes) for vpns, writes in trace.streams
         ]
 
-    def next_access(self, gpu_id: int) -> Tuple[int, int, bool]:
-        """Next ``(base_vpn, folded_vpn, is_write)`` of one GPU."""
-        base_vpn, is_write = self.cursors[gpu_id].next()
-        return base_vpn, base_vpn >> self.fold_shift, is_write
+    def next_access(self, gpu_id: int) -> Tuple[int, bool]:
+        """Next ``(folded_vpn, is_write)`` of one GPU."""
+        vpn, is_write = self.cursors[gpu_id].next()
+        return vpn >> self.fold_shift, is_write
 
     def lookup(
         self, node: "GpuNode", vpn: int, now: int

@@ -14,8 +14,8 @@ and prices each charge in one of two modes:
 
 ``"queued"``
     Links and DRAM channels are stateful resources with a
-    ``busy_until`` occupancy horizon.  Every ``topology.transfer`` is
-    a timestamped reservation: it waits behind earlier occupants of
+    ``busy_until`` occupancy horizon.  Every transfer is a
+    timestamped reservation: it waits behind earlier occupants of
     the routed link, then holds the wire for its serialization time.
     Far data accesses additionally queue on the target node's DRAM
     channel, so concurrent migrations, duplications, and remote
@@ -164,13 +164,6 @@ class TimingKernel:
             hop.record_transfer(size_bytes)
             total += hop.transfer_cost(size_bytes)
         return total
-
-    def transfer_cost(self, src: int, dst: int, size_bytes: int) -> int:
-        """Pure what-if transfer cost: no accounting, no reservation."""
-        return sum(
-            hop.transfer_cost(size_bytes)
-            for hop in self.topology.route(src, dst).hops
-        )
 
     def control_message(self, src: int, dst: int, now: int) -> int:
         """Deliver a payload-free message (fault, invalidation, ack)."""

@@ -27,9 +27,8 @@ class IntervalTimeline:
     """Accumulates per-interval, per-page, per-GPU access tallies.
 
     ``interval_length`` is in the same unit the caller passes to
-    :meth:`record` as ``time`` — the engine passes cycles, trace-level
-    characterization passes access indices (a proxy for time that does
-    not require simulation).
+    :meth:`record` as ``time``; trace-level characterization passes
+    access indices (a proxy for time that does not require simulation).
     """
 
     def __init__(self, num_gpus: int, interval_length: int) -> None:
@@ -51,25 +50,6 @@ class IntervalTimeline:
             self._cells[key] = cell
         cell[1 if is_write else 0] += 1
         cell[2 + gpu] += 1
-        if interval > self._max_interval:
-            self._max_interval = interval
-
-    def record_bulk(
-        self, interval: int, gpu: int, vpn: int, is_write: bool, count: int
-    ) -> None:
-        """Tally ``count`` same-kind accesses into one cell at once.
-
-        Equivalent to ``count`` :meth:`record` calls that all land in
-        ``interval`` — the steady-state fast path pre-groups its run
-        by interval and page so the per-access dict probe disappears.
-        """
-        key = (interval, vpn)
-        cell = self._cells.get(key)
-        if cell is None:
-            cell = [0, 0] + [0] * self.num_gpus
-            self._cells[key] = cell
-        cell[1 if is_write else 0] += count
-        cell[2 + gpu] += count
         if interval > self._max_interval:
             self._max_interval = interval
 

@@ -53,6 +53,16 @@ class TestRunner:
         )
         assert result.policy == "grit"
 
+    def test_grit_acud_runs_at_the_keys_grit_settings(self):
+        # Every GRIT variant reads config.grit, so the key's threshold
+        # reaches grit_acud as it reaches grit.
+        runner = ExperimentRunner(scale=0.05)
+        result = runner.run(runner.key("bfs", "grit_acud", fault_threshold=1))
+        assert result.details["policy_description"] == (
+            "GRIT threshold=1 ACUD"
+        )
+        assert result.total_cycles == 1_403_146
+
     def test_prefetch_key_runs_with_prefetcher(self, runner):
         result = runner.run(runner.key("fir", "on_touch", prefetch=True))
         assert result.counters.prefetches >= 0

@@ -1,26 +1,15 @@
-"""Result and figure serialization."""
+"""Figure serialization."""
 
 import csv
 import io
 import json
 
-from repro.config import SystemConfig
 from repro.harness.figures import FigureData
 from repro.harness.serialize import (
     figure_to_csv,
     figure_to_dict,
     figure_to_json,
-    result_to_dict,
-    result_to_json,
 )
-from repro.policies import make_policy
-from repro.sim import simulate
-from tests.conftest import build_trace
-
-
-def small_result():
-    trace = build_trace([[(0, False), (1, True)]], footprint_pages=4)
-    return simulate(SystemConfig(num_gpus=1), trace, make_policy("grit"))
 
 
 def small_figure():
@@ -31,20 +20,6 @@ def small_figure():
         rows={"r1": [1.5], "r2": ["x"]},
         paper="p",
     )
-
-
-class TestResultSerialization:
-    def test_dict_has_core_metrics(self):
-        data = result_to_dict(small_result())
-        assert data["policy"] == "grit"
-        assert data["total_cycles"] > 0
-        assert "scheme_usage" in data
-        assert "latency_fractions" in data
-
-    def test_json_round_trips(self):
-        data = json.loads(result_to_json(small_result()))
-        assert data["workload"] == "manual"
-        assert isinstance(data["per_gpu_cycles"], list)
 
 
 class TestFigureSerialization:

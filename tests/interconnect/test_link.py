@@ -8,30 +8,23 @@ from repro.interconnect.link import Link
 class TestLink:
     def test_transfer_cost_latency_plus_serialization(self):
         link = Link("test", latency=100, bytes_per_cycle=10.0)
-        assert link.transfer_cycles(100) == 110
+        assert link.transfer_cost(100) == 110
 
     def test_serialization_rounds_up(self):
         link = Link("test", latency=0, bytes_per_cycle=3.0)
-        assert link.transfer_cycles(10) == 4
+        assert link.transfer_cost(10) == 4
 
     def test_control_message_costs_latency_only(self):
         link = Link("test", latency=100, bytes_per_cycle=10.0)
-        assert link.message_cycles() == 100
+        assert link.message_cost() == 100
 
     def test_traffic_accounting(self):
         link = Link("test", latency=1, bytes_per_cycle=1.0)
-        link.transfer_cycles(50)
-        link.transfer_cycles(30)
-        link.message_cycles()
+        link.record_transfer(50)
+        link.record_transfer(30)
+        link.record_message()
         assert link.bytes_transferred == 80
         assert link.messages == 3
-
-    def test_reset_stats(self):
-        link = Link("test", latency=1, bytes_per_cycle=1.0)
-        link.transfer_cycles(10)
-        link.reset_stats()
-        assert link.bytes_transferred == 0
-        assert link.messages == 0
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -42,7 +35,9 @@ class TestLink:
     def test_rejects_negative_transfer(self):
         link = Link("test", latency=0, bytes_per_cycle=1.0)
         with pytest.raises(ValueError):
-            link.transfer_cycles(-1)
+            link.transfer_cost(-1)
+        with pytest.raises(ValueError):
+            link.record_transfer(-1)
 
 
 class TestLinkCostVsAccounting:
@@ -68,12 +63,15 @@ class TestLinkCostVsAccounting:
         assert link.messages == 2
 
     def test_combined_path_equals_record_plus_cost(self):
-        classic = Link("a", latency=700, bytes_per_cycle=300.0)
+        # An idle link's reservation prices and accounts a transfer
+        # exactly as the flat path's record + cost pair does.
+        reserved = Link("a", latency=700, bytes_per_cycle=300.0)
         split = Link("b", latency=700, bytes_per_cycle=300.0)
-        cycles = classic.transfer_cycles(4096)
+        cycles = reserved.reserve_transfer(0, 4096)
         split.record_transfer(4096)
         assert cycles == split.transfer_cost(4096)
-        assert classic.bytes_transferred == split.bytes_transferred
+        assert reserved.bytes_transferred == split.bytes_transferred
+        assert reserved.messages == split.messages
 
 
 class TestLinkReservations:
@@ -111,12 +109,3 @@ class TestLinkReservations:
         assert link.reserve_access(0, 50) == 5
         assert link.bytes_transferred == 0
         assert link.messages == 0
-
-    def test_reset_stats_clears_occupancy_state(self):
-        link = Link("test", latency=1, bytes_per_cycle=1.0)
-        link.reserve_transfer(0, 10)
-        link.reserve_transfer(0, 10)
-        link.reset_stats()
-        assert link.busy_until == 0
-        assert link.wait_cycles == 0
-        assert link.peak_occupancy == 0

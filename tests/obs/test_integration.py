@@ -42,9 +42,7 @@ class TestDeterminism:
     def test_metrics_identical_across_runs(self):
         _, first = observed_run()
         _, second = observed_run()
-        assert first.render_metrics("jsonl") == (
-            second.render_metrics("jsonl")
-        )
+        assert first.registry.to_jsonl() == second.registry.to_jsonl()
 
     def test_disabled_observability_leaves_result_untouched(self):
         observed, _ = observed_run()

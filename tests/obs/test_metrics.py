@@ -12,7 +12,6 @@ from repro.obs.metrics import (
     MetricKind,
     MetricSpec,
     MetricsRegistry,
-    prometheus_name,
 )
 
 
@@ -144,56 +143,6 @@ class TestExporters:
                 "buckets": {"10": 1, "+Inf": 2},
             }
         ]
-
-    def test_csv_layout(self):
-        text = self.build().to_csv()
-        assert text.splitlines() == ["ts,metric,value", "50,c.total,3"]
-
-    def test_prometheus_exposition(self):
-        text = self.build().to_prometheus()
-        assert "# HELP c_total count of c" in text
-        assert "# TYPE c_total counter" in text
-        assert "c_total 3" in text
-        assert 'h_cycles_bucket{le="10"} 1' in text
-        assert 'h_cycles_bucket{le="+Inf"} 2' in text
-        assert "h_cycles_sum 77" in text
-        assert "h_cycles_count 2" in text
-
-    def test_prometheus_name_sanitization(self):
-        assert prometheus_name("uvm.fault.queue_depth") == (
-            "uvm_fault_queue_depth"
-        )
-
-    def test_prometheus_name_mangles_every_illegal_char(self):
-        assert prometheus_name("a-b.c/d e%f") == "a_b_c_d_e_f"
-        # Already-legal names pass through untouched.
-        assert prometheus_name("plain_name9") == "plain_name9"
-
-    def test_prometheus_empty_registry_is_empty_output(self):
-        assert MetricsRegistry().to_prometheus() == ""
-
-    def test_prometheus_le_labels_escape_bounds(self):
-        registry = MetricsRegistry()
-        registry.register(
-            MetricSpec("h.lat", MetricKind.HISTOGRAM, "latency"),
-            buckets=(64, 4096),
-        )
-        registry.observe("h.lat", 1)
-        registry.observe("h.lat", 100_000)
-        text = registry.to_prometheus()
-        # Finite bounds render without a trailing .0; the overflow
-        # bucket is spelled +Inf exactly as Prometheus expects.
-        assert 'h_lat_bucket{le="64"} 1' in text
-        assert 'h_lat_bucket{le="4096"} 1' in text
-        assert 'h_lat_bucket{le="+Inf"} 2' in text
-        assert text.endswith("\n")
-
-    def test_prometheus_gauge_type_line(self):
-        registry = registry_with("q.depth", MetricKind.GAUGE)
-        registry.set_gauge("q.depth", 2.5)
-        text = registry.to_prometheus()
-        assert "# TYPE q_depth gauge" in text
-        assert "q_depth 2.5" in text
 
 
 class TestCatalog:

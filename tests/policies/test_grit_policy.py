@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.config import SystemConfig
+from repro.config import GritConfig, SystemConfig
 from repro.constants import FaultKind, Scheme
 from repro.policies.base import Mechanic
-from repro.policies.grit_policy import GritPolicy, make_grit_variant
+from repro.policies.grit_policy import GritPolicy
 from repro.uvm.machine import MachineState
 
 
@@ -27,7 +27,7 @@ class TestBinding:
         assert GritPolicy().initial_scheme() is Scheme.ON_TOUCH
 
     def test_acud_discount_applied_at_bind(self):
-        policy = make_grit_variant(acud=True)
+        policy = GritPolicy(acud=True)
         machine = MachineState.build(SystemConfig(), 100)
         policy.bind(machine)
         assert policy.flush_scale == machine.config.latency.acud_discount
@@ -106,26 +106,27 @@ class TestFaultHook:
         assert machine.counters.group_promotions == 1
 
 
+def bound_variant(**grit) -> GritPolicy:
+    policy = GritPolicy()
+    config = SystemConfig(grit=GritConfig(**grit))
+    policy.bind(MachineState.build(config, 100))
+    return policy
+
+
 class TestVariants:
     def test_variant_threshold(self):
-        policy = make_grit_variant(fault_threshold=8)
-        machine = MachineState.build(SystemConfig(), 100)
-        policy.bind(machine)
+        policy = bound_variant(fault_threshold=8)
         assert policy.mechanism.config.fault_threshold == 8
 
     def test_variant_ablation_flags(self):
-        policy = make_grit_variant(
+        policy = bound_variant(
             use_pa_cache=False, use_neighbor_prediction=False
         )
-        machine = MachineState.build(SystemConfig(), 100)
-        policy.bind(machine)
         assert policy.mechanism.initiator.pa_cache is None
         assert policy.mechanism.predictor is None
 
     def test_describe_mentions_configuration(self):
-        policy = make_grit_variant(fault_threshold=8, use_pa_cache=False)
-        machine = MachineState.build(SystemConfig(), 100)
-        policy.bind(machine)
+        policy = bound_variant(fault_threshold=8, use_pa_cache=False)
         description = policy.describe()
         assert "threshold=8" in description
         assert "no-PA-Cache" in description

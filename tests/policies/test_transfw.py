@@ -1,28 +1,18 @@
 """Trans-FW stacking: reduced fault-service latency."""
 
 from repro.config import SystemConfig
-from repro.policies.on_touch import OnTouchPolicy
-from repro.policies.transfw import GriffinTransFwPolicy, apply_transfw
+from repro.policies.grit_policy import GritPolicy
+from repro.policies.transfw import GriffinTransFwPolicy, GritTransFwPolicy
 from repro.uvm.driver import UvmDriver
 from repro.uvm.machine import MachineState
 
 
 class TestApplyTransfw:
-    def test_wraps_any_policy(self):
-        policy = apply_transfw(OnTouchPolicy())
-        machine = MachineState.build(SystemConfig(), 100)
-        policy.bind(machine)
-        assert (
-            policy.fault_service_scale
-            == machine.config.latency.transfw_discount
-        )
-        assert policy.name == "on_touch_transfw"
-
     def test_faults_cost_less_with_transfw(self):
         base_machine = MachineState.build(SystemConfig(), 100)
-        base_driver = UvmDriver(base_machine, OnTouchPolicy())
+        base_driver = UvmDriver(base_machine, GritPolicy())
         fw_machine = MachineState.build(SystemConfig(), 100)
-        fw_driver = UvmDriver(fw_machine, apply_transfw(OnTouchPolicy()))
+        fw_driver = UvmDriver(fw_machine, GritTransFwPolicy())
         assert fw_driver.handle_local_fault(0, 0, False) < (
             base_driver.handle_local_fault(0, 0, False)
         )
@@ -43,8 +33,6 @@ class TestGriffinTransFw:
 
 class TestGritTransFw:
     def test_combined_policy_has_both_traits(self):
-        from repro.policies.transfw import GritTransFwPolicy
-
         policy = GritTransFwPolicy()
         machine = MachineState.build(SystemConfig(), 100)
         policy.bind(machine)

@@ -167,8 +167,8 @@ class TestAllToAllClosedForms:
         assert kernel.transfer(
             2, HOST_NODE, size, 0
         ) == latency.page_transfer_pcie(size)
-        assert kernel.transfer_cost(
-            3, 0, size
+        assert kernel.transfer(
+            3, 0, size, 0
         ) == latency.page_transfer_nvlink(size)
 
     @given(latency=latency_models)

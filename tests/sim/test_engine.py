@@ -7,7 +7,6 @@ from repro.constants import PAGE_SIZE_2M, LatencyCategory
 from repro.errors import SimulationError
 from repro.policies import make_policy
 from repro.sim.engine import Engine, simulate
-from repro.stats.timeline import IntervalTimeline
 from tests.conftest import build_trace
 
 
@@ -110,22 +109,6 @@ class TestLargePages:
         config = SystemConfig(num_gpus=1, page_size=PAGE_SIZE_2M)
         result = simulate(config, trace, make_policy("on_touch"))
         assert result.counters.local_page_faults == 2
-
-
-class TestTimelineRecording:
-    def test_timeline_records_all_accesses(self, two_gpu_trace):
-        timeline = IntervalTimeline(num_gpus=2, interval_length=100_000)
-        config = SystemConfig(num_gpus=2)
-        simulate(
-            config, two_gpu_trace, make_policy("on_touch"), timeline=timeline
-        )
-        recorded = sum(
-            sample.reads + sample.writes
-            for interval in range(timeline.num_intervals)
-            for vpn in timeline.pages_in_interval(interval)
-            if (sample := timeline.sample(interval, vpn)) is not None
-        )
-        assert recorded == two_gpu_trace.total_accesses
 
 
 class TestGpsWrites:

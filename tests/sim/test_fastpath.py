@@ -33,8 +33,8 @@ from repro.policies import make_policy
 from repro.policies.on_touch import OnTouchPolicy
 from repro.sim.engine import Engine, simulate
 from repro.sim.fastpath import FastPath
+from repro.sim.pipeline import TranslationStage
 from repro.stats.events import EventLog
-from repro.stats.timeline import IntervalTimeline
 from repro.workloads.base import WorkloadTrace
 from repro.workloads.registry import make_workload
 
@@ -86,29 +86,24 @@ class TestIntervalRealignment:
         assert any(gap > 1 for gap in gaps)
 
 
-class _VisitRecorder:
-    """Timeline stand-in capturing the engine's (now, gpu) visit order."""
-
-    def __init__(self) -> None:
-        self.visits = []
-
-    def record(self, now, gpu_id, base_vpn, is_write) -> None:
-        self.visits.append((now, gpu_id))
-
-
 class TestHeapScheduling:
     """The heap replays the min-scan's lowest-clock / lowest-id order."""
 
-    def test_visit_order_is_lowest_clock_then_lowest_id(self):
-        recorder = _VisitRecorder()
+    def test_visit_order_is_lowest_clock_then_lowest_id(self, monkeypatch):
+        visits = []
+        next_access = TranslationStage.next_access
+
+        def record_visit(stage, gpu_id):
+            visits.append((stage.machine.gpus[gpu_id].clock, gpu_id))
+            return next_access(stage, gpu_id)
+
+        monkeypatch.setattr(TranslationStage, "next_access", record_visit)
         trace = make_workload("st", num_gpus=4, scale=0.05)
         simulate(
             SystemConfig(num_gpus=4, fast_path=False),
             trace,
             make_policy("grit"),
-            timeline=recorder,
         )
-        visits = recorder.visits
         assert len(visits) == trace.total_accesses
         # All four GPUs start at clock 0; ties break by id.
         assert [gpu for _, gpu in visits[:4]] == [0, 1, 2, 3]
@@ -231,16 +226,9 @@ def _run_on_and_off(monkeypatch, trace, config_of, policy):
     outputs = []
     for fast in (True, False):
         config = config_of(fast)
-        timeline = IntervalTimeline(
-            num_gpus=config.num_gpus, interval_length=10_000
-        )
         event_log = EventLog()
         result = simulate(
-            config,
-            trace,
-            make_policy(policy),
-            timeline=timeline,
-            event_log=event_log,
+            config, trace, make_policy(policy), event_log=event_log
         )
         counters = result.counters
         if fast:
@@ -255,11 +243,11 @@ def _run_on_and_off(monkeypatch, trace, config_of, policy):
                 )
             else:
                 assert spy.rounds == 0
-        outputs.append(_flatten(result, timeline, event_log))
+        outputs.append(_flatten(result, event_log))
     return outputs
 
 
-def _flatten(result, timeline, event_log):
+def _flatten(result, event_log):
     counters = {
         key: value
         for key, value in result.counters.as_dict().items()
@@ -274,7 +262,6 @@ def _flatten(result, timeline, event_log):
         "counters": counters,
         "breakdown": result.breakdown.as_dict(),
         "details": result.details,
-        "timeline": timeline._cells,
         "events": list(event_log._events),
     }
 

@@ -56,15 +56,6 @@ class TestDramChannel:
         assert channel.peak_occupancy == 15
         assert channel.accesses == 2
 
-    def test_reset_stats(self):
-        channel = DramChannel("test", service_cycles=25)
-        channel.reserve(0)
-        channel.reserve(0)
-        channel.reset_stats()
-        assert channel.accesses == 0
-        assert channel.wait_cycles == 0
-        assert channel.busy_until == 0
-
     def test_rejects_nonpositive_service(self):
         with pytest.raises(ValueError):
             DramChannel("bad", service_cycles=0)
@@ -75,7 +66,7 @@ class TestFlatModeIdentity:
 
     def test_transfer_matches_topology_cost(self):
         kernel, topology = build_kernel("none")
-        flat = topology.link_between(0, 1).transfer_cost(4096)
+        flat = topology.route(0, 1).hops[0].transfer_cost(4096)
         assert kernel.transfer(0, 1, 4096, now=12345) == flat
         # ``now`` is ignored: same price at any timestamp.
         assert kernel.transfer(0, 1, 4096, now=0) == flat
@@ -83,7 +74,7 @@ class TestFlatModeIdentity:
     def test_transfer_still_accounts_traffic(self):
         kernel, topology = build_kernel("none")
         kernel.transfer(0, 1, 4096, now=0)
-        assert topology.link_between(0, 1).bytes_transferred == 4096
+        assert topology.route(0, 1).hops[0].bytes_transferred == 4096
 
     def test_accesses_match_cost_table(self):
         kernel, _ = build_kernel("none")
@@ -103,9 +94,9 @@ class TestFlatModeIdentity:
     def test_host_service_matches_classic_formula(self):
         kernel, topology = build_kernel("none")
         latency = LatencyModel()
-        expected = topology.link_between(
-            0, HOST_NODE
-        ).message_cost() + int(latency.host_fault_service * 0.5)
+        expected = topology.route(0, HOST_NODE).hops[0].message_cost() + (
+            int(latency.host_fault_service * 0.5)
+        )
         assert kernel.host_service(0, now=0, scale=0.5) == expected
 
     def test_fixed_charges(self):
@@ -145,21 +136,22 @@ class TestFlatModeIdentity:
 class TestQueuedMode:
     def test_transfer_queues_behind_earlier_transfer(self):
         kernel, topology = build_kernel("queued")
-        flat = kernel.transfer_cost(0, 1, 4096)
+        link = topology.route(0, 1).hops[0]
+        flat = link.transfer_cost(4096)
         first = kernel.transfer(0, 1, 4096, now=0)
         second = kernel.transfer(0, 1, 4096, now=0)
         assert first == flat
         assert second > flat
-        assert topology.link_between(0, 1).wait_cycles > 0
+        assert link.wait_cycles > 0
 
     def test_host_transfers_share_the_uplink(self):
         kernel, topology = build_kernel("queued")
         # Different GPUs, different PCIe links — but the same root
         # port, so the second transfer queues on the shared uplink.
-        flat = kernel.transfer_cost(HOST_NODE, 0, 4096)
+        flat = topology.route(HOST_NODE, 0).hops[0].transfer_cost(4096)
         assert kernel.transfer(HOST_NODE, 0, 4096, now=0) == flat
         assert kernel.transfer(HOST_NODE, 1, 4096, now=0) > flat
-        assert topology.host_uplink.wait_cycles > 0
+        assert topology.route(0, HOST_NODE).shared[0].wait_cycles > 0
 
     def test_remote_access_queues_on_owner_channel(self):
         kernel, _ = build_kernel("queued")
@@ -173,7 +165,7 @@ class TestQueuedMode:
     def test_access_reservations_do_not_inflate_traffic(self):
         kernel, topology = build_kernel("queued")
         kernel.remote_access(0, 1, False, now=0)
-        link = topology.link_between(0, 1)
+        link = topology.route(0, 1).hops[0]
         assert link.bytes_transferred == 0
         assert link.messages == 0
         assert link.busy_until > 0
@@ -181,7 +173,7 @@ class TestQueuedMode:
     def test_cache_line_occupancy_is_modest(self):
         kernel, topology = build_kernel("queued")
         kernel.remote_access(0, 1, False, now=0)
-        link = topology.link_between(0, 1)
+        link = topology.route(0, 1).hops[0]
         assert link.busy_until <= link.serialization_cycles(
             CACHE_LINE_BYTES
         )

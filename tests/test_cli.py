@@ -21,6 +21,30 @@ class TestRun:
         assert "total_cycles" in output
         assert "local_page_faults" in output
 
+    def test_trace_and_metrics_export_an_observed_run(self, tmp_path):
+        import json
+
+        from repro.obs.trace_schema import validate_trace_file
+
+        trace = tmp_path / "run.trace.json"
+        metrics = tmp_path / "run.metrics.jsonl"
+        argv = [
+            "run", "fir", "grit", "--gpus", "8", "--topology", "nvswitch",
+            "--contention", "queued", "--scale", "0.05",
+            "--trace", str(trace), "--metrics", str(metrics),
+        ]
+        assert main(argv) == 0
+        assert validate_trace_file(str(trace)) == []
+        rows = [json.loads(line) for line in metrics.read_text().splitlines()]
+        switch_waits = [
+            row["value"]
+            for row in rows
+            if row["metric"] == "interconnect.switch.wait_cycles.total"
+        ]
+        # The flags reach the observed run: only a switched fabric
+        # under queued contention makes switch ports wait.
+        assert switch_waits[-1] == 12_698
+
     def test_run_rejects_unknown_workload(self):
         with pytest.raises(SystemExit):
             main(["run", "nope", "grit"])
@@ -38,13 +62,11 @@ class TestRun:
              "fault_batch_size must be >= 1"),
             (["sweep", "--workloads", "fir", "--gpus", "0"],
              "need at least one GPU"),
-            (["trace", "fir", "grit", "out.json", "--gpus", "0"],
-             "need at least one GPU"),
-            (["profile", "fir", "grit", "--gpus", "0"],
+            (["run", "fir", "grit", "--gpus", "0", "--trace", "out.json"],
              "need at least one GPU"),
         ],
         ids=["topology", "gpus", "page-size", "fault-batch", "sweep",
-             "trace", "profile"],
+             "trace"],
     )
     def test_bad_config_exits_2_naming_it(
         self, argv, message, capsys, tmp_path, monkeypatch
@@ -216,37 +238,6 @@ class TestSweep:
         assert main([*argv, "--workers", "2", "--scale", "0.05"]) == 1
         assert "error: fir/grit: ValueError: boom" in capsys.readouterr().err
         assert not report.exists()
-
-
-class TestProfileJson:
-    def test_json_export_parses(self, tmp_path, capsys):
-        import json
-
-        output = tmp_path / "profile.jsonl"
-        assert (
-            main(
-                [
-                    "profile",
-                    "fir",
-                    "on_touch",
-                    "--gpus",
-                    "2",
-                    "--scale",
-                    "0.05",
-                    "--json",
-                    str(output),
-                ]
-            )
-            == 0
-        )
-        metrics = {
-            row["metric"]
-            for row in map(
-                json.loads, output.read_text().splitlines()
-            )
-        }
-        assert "profile.total" in metrics
-        assert "profile.phase.replay" in metrics
 
 
 class TestBench:
