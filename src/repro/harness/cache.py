@@ -88,8 +88,12 @@ def result_digest(result: SimulationResult) -> str:
 
     Two runs with equal digests are bit-identical in cycles, counters,
     and latency breakdown — the equivalence the CI sweep smoke checks.
+    The cache's ``schema_version`` is left out: it versions the entry
+    format, not the result, so a schema bump keeps every digest.
     """
-    payload = json.dumps(_serialize(result), sort_keys=True)
+    data = _serialize(result)
+    del data["schema_version"]
+    payload = json.dumps(data, sort_keys=True)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 

@@ -36,7 +36,7 @@ class AccessCounterFile:
         Firing clears the group's counters — the UVM driver is expected
         to migrate the group's pages toward ``gpu`` in response.
         """
-        group = self.group_of(vpn)
+        group = vpn // self.pages_per_group
         per_gpu = self._groups.setdefault(group, {})
         count = per_gpu.get(gpu, 0) + 1
         if count >= self.threshold:

@@ -32,12 +32,9 @@ class SetAssociativeTLB:
         self.hits = 0
         self.misses = 0
 
-    def _set_for(self, vpn: int) -> OrderedDict[int, LocalPTE]:
-        return self.sets[vpn & self.set_mask]
-
     def lookup(self, vpn: int) -> LocalPTE | None:
         """Probe the TLB; promotes the entry to MRU on a hit."""
-        entries = self._set_for(vpn)
+        entries = self.sets[vpn & self.set_mask]
         entry = entries.get(vpn)
         if entry is None:
             self.misses += 1
@@ -54,7 +51,7 @@ class SetAssociativeTLB:
         statistical effects of the verified hits are applied afterwards
         in bulk (``hits`` bump plus :meth:`promote` per unique page).
         """
-        return self._set_for(vpn).get(vpn)
+        return self.sets[vpn & self.set_mask].get(vpn)
 
     def promote(self, vpn: int) -> None:
         """MRU-promote an entry known to be resident (bulk fast path).
@@ -62,11 +59,11 @@ class SetAssociativeTLB:
         Raises ``KeyError`` when the entry is absent — callers must
         have verified residency with :meth:`peek` first.
         """
-        self._set_for(vpn).move_to_end(vpn)
+        self.sets[vpn & self.set_mask].move_to_end(vpn)
 
     def insert(self, vpn: int, pte: LocalPTE) -> None:
         """Fill an entry, evicting the set's LRU victim if full."""
-        entries = self._set_for(vpn)
+        entries = self.sets[vpn & self.set_mask]
         if vpn in entries:
             entries.move_to_end(vpn)
             entries[vpn] = pte

@@ -30,7 +30,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
 )
 from repro.obs.run import RunObservation
-from repro.obs.trace_schema import validate_chrome_trace
 from repro.obs.tracer import ENGINE_TRACK, Span, SpanTracer, to_chrome_trace
 
 __all__ = [
@@ -48,5 +47,4 @@ __all__ = [
     "render_lifecycle",
     "scheme_transitions",
     "to_chrome_trace",
-    "validate_chrome_trace",
 ]

@@ -17,12 +17,15 @@ With the fast path on (``SystemConfig.fast_path``, the default) two
 shortcuts skip that pipeline where nothing needs modelling, both with
 bit-for-bit the same results:
 
-* the **fused steady-access check** retires an access that hits the
-  L1 TLB, is local and is permitted (a read, or a write to a writable
-  page under a non-GPS policy) inline in the loop, with exactly the
-  charges of the pipeline's L1-hit branch.  It runs in both contention
-  modes: its one DRAM-channel reservation happens at the same instant
-  the pipeline would make it;
+* the **fused check** probes the L1 TLB once and retires every L1 hit
+  in the loop, with exactly the charges of the pipeline's L1-hit
+  branch, so the translation chain runs only after an L1 miss.  A
+  steady hit (local, and a read or a write to a writable page under a
+  non-GPS policy) is priced inline; any other hit (a peer GPU's or the
+  host's page, or a write that needs a protection fault or a GPS
+  broadcast) goes straight to the data-access stage.  It runs in both
+  contention modes: each DRAM-channel reservation happens at the same
+  instant the pipeline would make it;
 * **batched rounds** (:class:`~repro.sim.fastpath.FastPath`, flat
   contention only) retire every GPU's verified steady prefix at once.
   A per-GPU back-off tries them only where they recently paid: a round
@@ -32,6 +35,10 @@ bit-for-bit the same results:
 
 With ``fast_path=False`` every access takes the full pipeline; that is
 the reference the fast-path property tests compare against.
+
+No route bumps an access tally: the engine derives ``accesses``,
+``reads`` and ``writes`` from what the stream cursors consumed, before
+each observation sample and at the end of the run.
 """
 
 from __future__ import annotations
@@ -39,6 +46,8 @@ from __future__ import annotations
 import heapq
 
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from repro.config import SystemConfig
 from repro.constants import HOST_NODE, LatencyCategory
@@ -59,6 +68,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.prefetch.tree import TreePrefetcher
     from repro.sim.gpu import GpuNode
     from repro.stats.events import EventLog
+
+#: Bound once: on CPython 3.11, loading an enum member off its class
+#: costs ~150 ns, and every far access charges this category.
+_REMOTE_ACCESS = LatencyCategory.REMOTE_ACCESS
 
 #: A batched round that commits fewer accesses than this did not pay
 #: for its verification, so the scheduled GPU backs off.
@@ -112,8 +125,7 @@ class Engine:
         self.stage = TranslationStage(
             self.machine, trace, self.address_space
         )
-        self.costs = self.machine.kernel.costs
-        #: The fused steady-access check runs in both contention modes;
+        #: The fused check runs in both contention modes;
         #: batched rounds (repro.sim.fastpath) only in flat mode, since
         #: under contention="queued" every access is an order-sensitive
         #: reservation against live link/DRAM state.
@@ -152,6 +164,7 @@ class Engine:
             local_access = machine.kernel.local_access
         if fastpath is not None:
             verified = fastpath.state
+            steady_advance = fastpath.advance
             # Round attempts each GPU still skips, and its current
             # back-off (0, 1, 3, 7, ... _MAX_BACKOFF).
             skip = [0] * len(gpus)
@@ -192,6 +205,7 @@ class Engine:
                 next_interval = (now // interval + 1) * interval
             if obs_next is not None and now >= obs_next:
                 boundary = True
+                self._tally_accesses()
                 observation.sample(now)
                 obs_next = (
                     now // observation.sample_interval + 1
@@ -219,40 +233,12 @@ class Engine:
                     if batched:
                         continue
             vpn, is_write = stage.next_access(gpu_id)
-            counters.record_access(is_write)
 
             pte = None
             if fused:
                 entries = l1_sets[gpu_id][vpn & l1_mask]
                 pte = entries.get(vpn)
-            if (
-                pte is not None
-                and pte.location == gpu_id
-                and (not is_write or (steady_writes and pte.writable))
-            ):
-                # Fused steady access: the L1-hit branch of
-                # _service_access, inline.
-                entries.move_to_end(vpn)
-                l1s[gpu_id].hits += 1
-                if is_write:
-                    node.dram.mark_dirty(vpn)
-                else:
-                    node.dram.touch(vpn)
-                data_at = now + l1_latency
-                node.clock = (
-                    data_at + local_access(gpu_id, data_at) + issue_gap
-                )
-                if fastpath is not None:
-                    # Consume one access of this GPU's cached
-                    # verification; nothing another GPU verified
-                    # against changed, so no epoch bump.
-                    state = verified.get(gpu_id)
-                    if state is not None:
-                        if state[1] > 1:
-                            state[1] -= 1
-                        else:
-                            del verified[gpu_id]
-            else:
+            if pte is None:
                 if fastpath is not None:
                     # Full-pipeline accesses can fault, fill, migrate,
                     # or evict — anything the fast path verified
@@ -267,7 +253,50 @@ class Engine:
                     node.clock += self._drain_faults(
                         gpu_id, node, node.clock
                     )
-            if cursors[gpu_id].exhausted:
+            elif pte.location == gpu_id and (
+                not is_write or (steady_writes and pte.writable)
+            ):
+                # Fused steady access: the L1-hit branch of
+                # _service_access, inline.
+                entries.move_to_end(vpn)
+                l1s[gpu_id].hits += 1
+                if is_write:
+                    node.dram.mark_dirty(vpn)
+                else:
+                    node.dram.touch(vpn)
+                if fastpath is None:
+                    # Queued mode: the data access reserves its DRAM
+                    # channel at the instant the pipeline would.
+                    data_at = now + l1_latency
+                    node.clock = (
+                        data_at + local_access(gpu_id, data_at) + issue_gap
+                    )
+                else:
+                    node.clock = now + steady_advance
+                    # Consume one access of this GPU's cached
+                    # verification; nothing another GPU verified
+                    # against changed, so no epoch bump.
+                    state = verified.get(gpu_id)
+                    if state is not None:
+                        if state[1] > 1:
+                            state[1] -= 1
+                        else:
+                            del verified[gpu_id]
+            else:
+                # Far or refused L1 hit: the page lives on a peer GPU
+                # or the host, or the write needs a protection fault or
+                # a GPS broadcast.  The L1-hit branch of
+                # _service_access, without probing the L1 again.
+                if fastpath is not None:
+                    fastpath.invalidate(gpu_id)
+                entries.move_to_end(vpn)
+                l1s[gpu_id].hits += 1
+                data_at = now + l1_latency
+                node.clock = data_at + issue_gap + self._finish_access(
+                    gpu_id, node, vpn, is_write, pte, data_at
+                )
+            cursor = cursors[gpu_id]
+            if cursor.position == cursor.length:
                 heapq.heappop(heap)
                 # End of stream: nothing left to overlap parked faults
                 # with, so flush this GPU's partial batch.
@@ -398,7 +427,7 @@ class Engine:
                 gpu_id, is_write, now + cycles
             )
             cycles += access
-            breakdown.charge(LatencyCategory.REMOTE_ACCESS, penalty)
+            breakdown.charge(_REMOTE_ACCESS, penalty)
             cycles += driver.on_remote_access(
                 gpu_id, vpn, now=now + cycles
             )
@@ -407,7 +436,7 @@ class Engine:
                 gpu_id, location, is_write, now + cycles
             )
             cycles += access
-            breakdown.charge(LatencyCategory.REMOTE_ACCESS, penalty)
+            breakdown.charge(_REMOTE_ACCESS, penalty)
             if is_write:
                 self.machine.gpus[location].dram.mark_dirty(vpn)
             cycles += driver.on_remote_access(
@@ -417,7 +446,21 @@ class Engine:
             cycles += driver.gps_write(gpu_id, vpn)
         return cycles
 
+    def _tally_accesses(self) -> None:
+        """Set the access tallies from what the cursors consumed."""
+        counters = self.machine.counters
+        accesses = writes = 0
+        for cursor, (_, stream_writes) in zip(
+            self.stage.cursors, self.trace.streams
+        ):
+            accesses += cursor.position
+            writes += int(np.count_nonzero(stream_writes[: cursor.position]))
+        counters.accesses = accesses
+        counters.reads = accesses - writes
+        counters.writes = writes
+
     def _build_result(self) -> SimulationResult:
+        self._tally_accesses()
         machine = self.machine
         l1_hits = sum(gpu.tlbs.l1.hits for gpu in machine.gpus)
         l1_misses = sum(gpu.tlbs.l1.misses for gpu in machine.gpus)

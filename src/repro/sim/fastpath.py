@@ -9,8 +9,9 @@ accesses two ways, the way GRIT's own evaluation substrate (MGPUSim)
 does — model the interesting accesses precisely, price the
 uninteresting ones cheaply:
 
-* one at a time, through the **fused steady-access check** inline in
-  ``Engine.run`` (both contention modes; see :mod:`repro.sim.engine`);
+* one at a time, through the **fused check** inline in ``Engine.run``,
+  which retires every L1 hit (both contention modes; see
+  :mod:`repro.sim.engine`);
 * in bulk, through this module's :meth:`FastPath.round`, which batches
   every GPU's verified steady run (flat contention only).  A per-GPU
   back-off in the engine tries rounds only where they recently paid:
@@ -38,13 +39,15 @@ one DRAM-channel reservation at the instant the pipeline would, and
 the end-of-stream drain of parked faults follows it as usual.)
 
 One steady access then costs exactly ``l1_lookup + local_access``
-cycles and advances the GPU's clock by that plus the issue gap; its
-only side effects are per-GPU L1/DRAM LRU promotion and the global
-access counters — all either per-GPU-local or commutative.  Steady
-accesses of *different* GPUs therefore commute, which is what lets
-:meth:`FastPath.round` batch every GPU's verified steady prefix in one
-step instead of degenerating to one-access runs under the engine's
-lockstep lowest-clock scheduling.
+cycles and advances the GPU's clock by that plus the issue gap
+(:attr:`FastPath.advance`, which the fused check also uses in flat
+mode); its only side effects are per-GPU L1 hit counts and L1/DRAM LRU
+promotion — all per-GPU-local (the engine derives the access tallies
+from the cursor positions).  Steady accesses of *different* GPUs
+therefore commute, which is what lets :meth:`FastPath.round` batch
+every GPU's verified steady prefix in one step instead of degenerating
+to one-access runs under the engine's lockstep lowest-clock
+scheduling.
 
 A round works in three moves:
 
@@ -73,9 +76,9 @@ A round works in three moves:
    boundaries.  Every access strictly before ``H`` in the engine's
    ``(clock, gpu_id)`` scheduling order would have been replayed
    before anything interesting happens, so it is safe to batch.
-3. **Commit**: per GPU, price its sub-``H`` prefix in one step — bulk
-   counter sums, one ``hits`` bump, L1/DRAM LRU promotion per unique
-   page in last-access order, and a single clock advance through the
+3. **Commit**: per GPU, price its sub-``H`` prefix in one step — one
+   ``hits`` bump, L1/DRAM LRU promotion per unique page in last-access
+   order, one cursor advance, and a single clock advance through the
    timing kernel's bulk charge API.
 
 The moment anything interesting happens — an L2 miss, a fault, a
@@ -369,7 +372,7 @@ class FastPath:
         heap[:] = [
             (gpus[gpu_id].clock, gpu_id)
             for _, gpu_id in heap
-            if not cursors[gpu_id].exhausted
+            if cursors[gpu_id].position < cursors[gpu_id].length
         ]
         heapq.heapify(heap)
         return True
@@ -382,15 +385,14 @@ class FastPath:
         """Apply one verified run's effects in bulk, bit-for-bit.
 
         Replicates exactly what ``count`` scalar iterations would have
-        done: counters, L1 hit stats + MRU order, DRAM LRU/dirty
-        state, cursor position, and the clock.
+        done: L1 hit stats + MRU order, DRAM LRU/dirty state, cursor
+        position (the access tallies' source), and the clock.
         """
         cursor = self.cursors[gpu_id]
         vpns, writes = cursor.peek_batch(count)
         counters = self.counters
         counters.fastpath_runs += 1
         counters.fastpath_accesses += count
-        counters.accesses += count
         l1 = node.tlbs.l1
         l1.hits += count
         dram = node.dram
@@ -403,8 +405,6 @@ class FastPath:
             vl = vpns.tolist()
             wl = writes.tolist()
             nwrites = wl.count(True)
-            counters.writes += nwrites
-            counters.reads += count - nwrites
             first_page = vl[0] >> shift
             if (min(vl) >> shift) == first_page == (max(vl) >> shift):
                 # Single folded page — the typical sweep run shape.
@@ -434,8 +434,6 @@ class FastPath:
             return
         writes = writes.astype(bool, copy=False)
         nwrites = int(np.count_nonzero(writes))
-        counters.writes += nwrites
-        counters.reads += count - nwrites
         folded = vpns >> self.fold_shift
         first_page = int(folded[0])
         if int(folded[-1]) == first_page and (folded == first_page).all():

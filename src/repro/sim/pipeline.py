@@ -6,6 +6,8 @@ The access path is an explicit four-stage pipeline:
    off the GPU's stream cursor, fold it to the configured page size,
    and walk the translation path (L1 TLB -> L2 TLB -> page-table
    walk), producing a plain ``(cycles, pte, l2_missed, page)`` tuple.
+   With the fast path on, the engine probes the L1 itself and retires
+   every hit, so the walk here starts only after an L1 miss.
 2. **Fault buffering** (:class:`~repro.uvm.faults.FaultBuffer`):
    accesses whose translation is missing deposit a fault; with
    ``fault_batch_size == 1`` the deposit services immediately
@@ -83,28 +85,11 @@ class StreamCursor:
     def __len__(self) -> int:
         return self.length
 
-    @property
-    def exhausted(self) -> bool:
-        """True once every access has been consumed."""
-        return self.position >= self.length
-
     def _load_chunk(self, base: int) -> None:
         end = min(base + CURSOR_CHUNK, self.length)
         self._chunk_base = base
         self._chunk_vpns = self._vpns[base:end].tolist()
         self._chunk_writes = self._writes[base:end].tolist()
-
-    def next(self) -> Tuple[int, bool]:
-        """Consume and return the next ``(vpn, is_write)`` pair."""
-        position = self.position
-        if position >= self.length:
-            raise IndexError("stream cursor exhausted")
-        offset = position - self._chunk_base
-        if offset >= len(self._chunk_vpns):
-            self._load_chunk(position)
-            offset = 0
-        self.position = position + 1
-        return self._chunk_vpns[offset], self._chunk_writes[offset]
 
     def peek(self) -> Tuple[int, bool]:
         """The next ``(vpn, is_write)`` pair without consuming it."""
@@ -138,8 +123,9 @@ class StreamCursor:
         if count < 0 or position > self.length:
             raise IndexError("advance past the end of the stream")
         self.position = position
-        # The scalar chunk is refilled lazily: next()/peek() reload it
-        # when the new position falls outside the materialized window.
+        # The scalar chunk is refilled lazily: peek() and
+        # TranslationStage.next_access reload it when the new position
+        # falls outside the materialized window.
 
 
 class TranslationStage:
@@ -160,9 +146,18 @@ class TranslationStage:
         ]
 
     def next_access(self, gpu_id: int) -> Tuple[int, bool]:
-        """Next ``(folded_vpn, is_write)`` of one GPU."""
-        vpn, is_write = self.cursors[gpu_id].next()
-        return vpn >> self.fold_shift, is_write
+        """Consume the next ``(folded_vpn, is_write)`` of one GPU."""
+        cursor = self.cursors[gpu_id]
+        position = cursor.position
+        offset = position - cursor._chunk_base
+        if offset >= len(cursor._chunk_vpns):
+            cursor._load_chunk(position)
+            offset = 0
+        cursor.position = position + 1
+        return (
+            cursor._chunk_vpns[offset] >> self.fold_shift,
+            cursor._chunk_writes[offset],
+        )
 
     def lookup(
         self, node: "GpuNode", vpn: int, now: int
@@ -178,7 +173,8 @@ class TranslationStage:
         the walk fetched (None without a walk); the fault path reuses
         it instead of consulting the central table a second time (it
         is the same live object — pages mutate in place and are never
-        replaced).  A plain tuple: this runs once per scalar access.
+        replaced).  A plain tuple: this runs once per L1 miss with the
+        fast path on, and once per access with it off.
         """
         machine = self.machine
         pte, cycles, l2_missed = node.tlbs.lookup(vpn)

@@ -60,14 +60,6 @@ class EventCounters:
         """Local page faults + page protection faults (Figure 18)."""
         return self.local_page_faults + self.protection_faults
 
-    def record_access(self, is_write: bool) -> None:
-        """Tally one data access."""
-        self.accesses += 1
-        if is_write:
-            self.writes += 1
-        else:
-            self.reads += 1
-
     def record_fault(self, kind: FaultKind, gpu: int | None = None) -> None:
         """Tally one UVM fault, optionally attributed to a GPU."""
         if kind is _LOCAL_FAULT:

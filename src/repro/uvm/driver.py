@@ -64,6 +64,8 @@ _TRACED_OPERATIONS = _SANITIZED_OPERATIONS
 _LOCAL_FAULT = FaultKind.LOCAL_PAGE_FAULT
 _IDEAL = Mechanic.IDEAL
 _HOST = LatencyCategory.HOST
+#: Read on every remote data access, bound once for the same reason.
+_ACCESS_COUNTER = Mechanic.ACCESS_COUNTER
 
 
 class UvmDriver:
@@ -264,7 +266,7 @@ class UvmDriver:
         m.counters.remote_accesses += 1
         self.policy.on_remote_access(gpu, vpn)
         page = m.central_pt.get(vpn)
-        if self.policy.mechanic_for(page) is not Mechanic.ACCESS_COUNTER:
+        if self.policy.mechanic_for(page) is not _ACCESS_COUNTER:
             return 0
         if not m.access_counters.record_remote_access(gpu, vpn):
             return 0

@@ -12,6 +12,7 @@ from repro.harness.cache import (
     _deserialize,
     _serialize,
     config_fingerprint,
+    result_digest,
 )
 from repro.policies import make_policy
 from repro.sim.engine import simulate
@@ -25,6 +26,22 @@ FIR_GRIT_QUEUED_CYCLES = 1_051_658
 #: Config field -> the value its retired ``GRIT_<FIELD>`` environment
 #: override once forced on every run, unseen by the fingerprint.
 RETIRED_OVERRIDES = {"contention": "queued", "topology": "ring"}
+
+
+class TestResultDigest:
+    def test_schema_bump_keeps_the_digest(self, monkeypatch):
+        # The schema versions the cache entry format; a bump must not
+        # change the digest of a bit-identical result.
+        result = simulate(
+            SystemConfig(),
+            make_workload("fir", num_gpus=4, scale=0.05),
+            make_policy("on_touch"),
+        )
+        digest = result_digest(result)
+        monkeypatch.setattr(
+            "repro.harness.cache.SCHEMA_VERSION", SCHEMA_VERSION + 1
+        )
+        assert result_digest(result) == digest
 
 
 class TestFingerprint:

@@ -2,14 +2,19 @@
 
 import json
 
+import pytest
+
 from repro.config import SystemConfig
 from repro.constants import Scheme
-from repro.obs import RunObservation, validate_chrome_trace
+from repro.obs import RunObservation
+from repro.obs.catalog import SIM_ACCESSES
 from repro.obs.inspect import scheme_transitions
+from repro.obs.trace_schema import validate_chrome_trace
 from repro.obs.tracer import write_chrome_trace
 from repro.policies import make_policy
 from repro.sim.engine import Engine
 from repro.stats.events import EventKind
+from repro.workloads import make_workload
 from tests.conftest import build_trace
 
 
@@ -121,6 +126,31 @@ class TestTraceOutput:
         times = sorted({ts for ts, _, _ in observation.registry.samples})
         assert times[-1] == result.total_cycles
         assert len(times) >= 2
+
+
+class TestAccessSeries:
+    @pytest.mark.parametrize(
+        "fast", [True, False], ids=["fast-on", "fast-off"]
+    )
+    def test_sampled_accesses_follow_the_replay(self, fast):
+        # The engine derives the access tallies from its stream cursors
+        # before each sample; a sample that missed that step would read
+        # 0 (or a stale total) mid-run.
+        trace = make_workload("fir", num_gpus=4, scale=0.05)
+        observation = RunObservation(sample_interval=20_000)
+        Engine(
+            SystemConfig(fast_path=fast),
+            trace,
+            make_policy("grit"),
+            observation=observation,
+        ).run()
+        series = [
+            value for _, value in observation.registry.series(SIM_ACCESSES)
+        ]
+        assert len(series) >= 3
+        assert series == sorted(series)
+        assert all(value > 0 for value in series[:-1])
+        assert series[-2] < series[-1] == trace.total_accesses
 
 
 class TestInspectionReconstruction:

@@ -1,7 +1,12 @@
 """Strict Chrome trace-event schema validation."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
+import repro
 from repro.obs.trace_schema import (
     validate_chrome_trace,
     validate_trace_file,
@@ -113,6 +118,33 @@ class TestFileValidation:
         errors = validate_trace_file(str(path))
         assert len(errors) == 1
         assert "cannot load" in errors[0]
+
+    def test_module_entry_runs_without_warnings(self, tmp_path):
+        # The validation command CI runs: re-executing a module the
+        # package already imported would raise runpy's RuntimeWarning.
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(doc(complete())))
+        src_dir = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src_dir, env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-W",
+                "error::RuntimeWarning",
+                "-m",
+                "repro.obs.trace_schema",
+                str(path),
+            ],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "valid Chrome trace-event JSON" in proc.stdout
 
     def test_missing_file(self, tmp_path):
         errors = validate_trace_file(str(tmp_path / "absent.json"))

@@ -5,15 +5,6 @@ from repro.stats.counters import EventCounters
 
 
 class TestEventCounters:
-    def test_record_access_splits_reads_writes(self):
-        counters = EventCounters()
-        counters.record_access(False)
-        counters.record_access(True)
-        counters.record_access(False)
-        assert counters.accesses == 3
-        assert counters.reads == 2
-        assert counters.writes == 1
-
     def test_total_faults_sums_both_kinds(self):
         counters = EventCounters()
         counters.record_fault(FaultKind.LOCAL_PAGE_FAULT)
