@@ -17,9 +17,6 @@ Commands:
 * ``dump-trace`` — export a generated trace as ``.npz``.
 * ``inspect`` — reconstruct page lifecycles from the structured event
   log (``--vpn N`` for one page, otherwise the busiest pages).
-* ``bench`` — simulate the bench cases, write their counters as
-  ``BENCH_<name>.json`` baselines, and check them against committed
-  baselines (``--compare``).
 * ``lint`` — run the simlint static-analysis pass over the simulator.
 """
 
@@ -116,35 +113,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=10,
         help="pages shown in the busiest-pages ranking",
-    )
-
-    bench = sub.add_parser(
-        "bench",
-        help="simulate the bench cases and check their counters",
-    )
-    bench.add_argument(
-        "--cases",
-        default=None,
-        help="comma-separated case names (default: the full suite)",
-    )
-    bench.add_argument(
-        "--scale",
-        type=float,
-        default=None,
-        help="trace scale (default: $REPRO_BENCH_SCALE or 0.05)",
-    )
-    bench.add_argument(
-        "--output",
-        metavar="DIR",
-        default=None,
-        help="write one BENCH_<name>.json baseline per case into DIR",
-    )
-    bench.add_argument(
-        "--compare",
-        metavar="DIR",
-        default=None,
-        help="check this run's counters against the baselines in "
-        "DIR; exits nonzero on any drift",
     )
 
     fig = sub.add_parser("figure", help="regenerate a paper figure")
@@ -344,6 +312,9 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     from repro.sim.engine import Engine
     from repro.stats.events import EventLog
 
+    if args.limit < 1:
+        print("error: --limit must be at least 1", file=sys.stderr)
+        return 2
     config = SystemConfig(num_gpus=args.gpus)
     trace = make_workload(
         args.workload, num_gpus=args.gpus, scale=args.scale
@@ -365,49 +336,6 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
             print(f"  vpn {vpn:<10d} {count:>6d} events")
         print("re-run with --vpn N for a page's full lifecycle")
     _warn_dropped_events(result)
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.obs import bench
-
-    try:
-        cases = bench.select_cases(_names(args.cases or ""))
-        scale = (
-            args.scale if args.scale is not None else bench.default_scale()
-        )
-        results = [bench.run_case(case, scale) for case in cases]
-    except bench.BenchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    for result in results:
-        print(
-            f"{result.case.name:<24s} "
-            f"{result.counters['total_cycles']:,} cycles"
-        )
-    if args.output:
-        for result in results:
-            path = bench.write_baseline(args.output, result)
-            print(f"wrote {path}")
-    if not args.compare:
-        return 0
-    try:
-        regressions, notes = bench.compare_suite(results, args.compare)
-    except bench.BenchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    for note in notes:
-        print(f"note: {note}", file=sys.stderr)
-    for message in regressions:
-        print(f"regression: {message}", file=sys.stderr)
-    if regressions:
-        print(
-            f"{len(regressions)} regression(s) against "
-            f"{args.compare}",
-            file=sys.stderr,
-        )
-        return 1
-    print(f"bench counters match {args.compare}")
     return 0
 
 
@@ -625,8 +553,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _cmd_dump_trace(args)
         if args.command == "inspect":
             return _cmd_inspect(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
         if args.command == "sweep":
             return _cmd_sweep(args)
         if args.command == "lint":

@@ -27,7 +27,6 @@ _EVENTS_PATH = "stats/events.py"
 _CLI_PATH = "cli.py"
 _CATALOG_PATH = "obs/catalog.py"
 _OBS_DOC = "docs/observability.md"
-_POLICIES_BASE_PATH = "policies/base.py"
 
 
 @rule
@@ -189,71 +188,6 @@ class MetricCatalogRule(ProjectRule):
                 )
 
 
-@rule
-class MechanicDispatchRule(ProjectRule):
-    """Every Mechanic member has a statically visible executor."""
-
-    rule_id = "GRIT-C006"
-    description = (
-        "every Mechanic enum member must have an executor registered "
-        "with an @executes(Mechanic.X) decorator, or fault dispatch "
-        "raises PolicyError at runtime"
-    )
-    hint = (
-        "add an @executes(Mechanic.<member>) executor in "
-        "uvm/executor.py (or delete the member)"
-    )
-
-    def check_project(self, symbols: SymbolTable) -> Iterator[Finding]:
-        base = symbols.module(_POLICIES_BASE_PATH)
-        if base is None:
-            return
-        members = symbols.enum_members(_POLICIES_BASE_PATH, "Mechanic")
-        if not members:
-            return
-        registered = set()
-        for info in symbols.iter_modules():
-            for node in ast.walk(info.tree):
-                member = _registered_mechanic(node)
-                if member is not None:
-                    registered.add(member)
-        for member, line in members:
-            if member not in registered:
-                yield Finding(
-                    rule_id=self.rule_id,
-                    path=_POLICIES_BASE_PATH,
-                    line=line,
-                    message=(
-                        f"Mechanic.{member} has no registered executor "
-                        f"(no @executes call names it)"
-                    ),
-                    hint=self.hint,
-                )
-
-
-def _registered_mechanic(node: ast.AST) -> str | None:
-    """Mechanic member name an ``executes`` call registers, if any."""
-    if not isinstance(node, ast.Call) or not node.args:
-        return None
-    func = node.func
-    if isinstance(func, ast.Name):
-        if func.id != "executes":
-            return None
-    elif isinstance(func, ast.Attribute):
-        if func.attr != "executes":
-            return None
-    else:
-        return None
-    target = node.args[0]
-    if (
-        isinstance(target, ast.Attribute)
-        and isinstance(target.value, ast.Name)
-        and target.value.id == "Mechanic"
-    ):
-        return target.attr
-    return None
-
-
 #: LatencyModel fields that price simulated work.  Reading one of
 #: these is a cycle charge; charges route through the timing kernel.
 _CHARGING_FIELDS = frozenset({
@@ -328,61 +262,6 @@ class TimingKernelRoutingRule(FileRule):
             f"raw charging constant latency.{node.attr} read outside "
             f"the timing kernel",
         )
-
-
-#: The module that owns StreamCursor and its batch API.
-_CURSOR_OWNER = "sim/pipeline.py"
-
-
-@rule
-class CursorBatchApiRule(FileRule):
-    """Engine modules consume cursors through the batch API."""
-
-    rule_id = "GRIT-C008"
-    description = (
-        "no sim/ module outside sim/pipeline.py may call .next() "
-        "directly on a stream cursor; per-access next() loops bypass "
-        "the peek_batch()/advance() API the steady-state fast path "
-        "and the chunked scalar pipeline are built on"
-    )
-    hint = (
-        "go through TranslationStage.next_access for scalar replay, "
-        "or peek()/peek_batch() + advance() for batched consumption"
-    )
-    scope = ("sim/",)
-
-    def visit_Call(
-        self, node: ast.Call, module: ModuleInfo
-    ) -> Iterator[Finding]:
-        if module.relpath == _CURSOR_OWNER:
-            return
-        func = node.func
-        if not isinstance(func, ast.Attribute) or func.attr != "next":
-            return
-        if _is_cursor_expr(func.value):
-            yield self.finding(
-                module,
-                node,
-                "direct cursor .next() call bypasses the stream "
-                "cursor's batch API",
-            )
-
-
-def _is_cursor_expr(node: ast.AST) -> bool:
-    """True for receivers that name a stream cursor.
-
-    Matches ``cursor``, ``self.cursor``, ``cursors[g]``,
-    ``self.cursors[gpu_id]``, ``stage.cursors[g]``, ... — any name or
-    attribute whose terminal identifier is ``cursor``/``cursors``
-    (optionally subscripted).
-    """
-    if isinstance(node, ast.Subscript):
-        node = node.value
-    if isinstance(node, ast.Name):
-        return node.id in ("cursor", "cursors")
-    if isinstance(node, ast.Attribute):
-        return node.attr in ("cursor", "cursors")
-    return False
 
 
 @rule

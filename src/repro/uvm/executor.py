@@ -6,10 +6,6 @@ one module-level table :data:`EXECUTORS`.  The UVM driver resolves a
 fault by looking the policy's mechanic up in that table and calling the
 executor; a mechanic with no executor raises a named
 :class:`~repro.errors.PolicyError`.
-
-The simlint rule GRIT-C006 statically checks that every ``Mechanic``
-enum member has an ``@executes`` executor, so a new member cannot
-silently turn into that runtime error.
 """
 
 from __future__ import annotations
@@ -53,7 +49,7 @@ def executes(mechanic: Mechanic) -> Callable[[ExecutorFn], ExecutorFn]:
 
 
 # ----------------------------------------------------------------------
-# executors (one per Mechanic member; see GRIT-C006)
+# executors (one per Mechanic member)
 # ----------------------------------------------------------------------
 
 

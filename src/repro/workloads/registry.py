@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict
 
-from repro.errors import UnknownWorkloadError
+from repro.errors import ConfigError, UnknownWorkloadError
 from repro.workloads import bfs, bs, c2d, dnn, fir, gemm, mm, sc, st
 from repro.workloads.base import WorkloadSpec, WorkloadTrace
 
@@ -47,13 +48,23 @@ def available_workloads() -> list[str]:
 def make_workload(
     name: str, num_gpus: int = 4, scale: float = 1.0, seed: int | None = None
 ) -> WorkloadTrace:
-    """Generate a trace for a registered workload."""
+    """Generate a trace for a registered workload.
+
+    Raises :class:`ConfigError` for fewer than one GPU or a ``scale``
+    that is not a finite positive number.
+    """
     try:
         generator = _GENERATORS[name]
     except KeyError:
         raise UnknownWorkloadError(
             f"unknown workload {name!r}; available: {available_workloads()}"
         ) from None
+    if num_gpus < 1:
+        raise ConfigError(f"need at least one GPU, got num_gpus={num_gpus}")
+    if not (math.isfinite(scale) and scale > 0):
+        raise ConfigError(
+            f"scale must be a finite positive number, got {scale!r}"
+        )
     kwargs: dict[str, object] = {"num_gpus": num_gpus, "scale": scale}
     if seed is not None:
         kwargs["seed"] = seed

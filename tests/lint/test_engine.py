@@ -32,9 +32,7 @@ KEPT_RULE_IDS = [
     "GRIT-C003",
     "GRIT-C004",
     "GRIT-C005",
-    "GRIT-C006",
     "GRIT-C007",
-    "GRIT-C008",
     "GRIT-D001",
     "GRIT-D002",
     "GRIT-D003",

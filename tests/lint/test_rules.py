@@ -244,49 +244,6 @@ class TestTimingKernelRoutingRule:
         assert lint(clean, relpath="policies/fixture.py") == []
 
 
-class TestCursorBatchApiRule:
-    def test_flags_direct_cursor_next_loops(self):
-        findings = lint(
-            """
-            def replay(self, gpu_id):
-                while not self.cursors[gpu_id].exhausted:
-                    vpn, is_write = self.cursors[gpu_id].next()
-            """,
-            relpath="sim/fixture.py",
-        )
-        assert ids(findings) == ["GRIT-C008"]
-        assert "batch API" in findings[0].message
-
-    def test_flags_bare_cursor_receiver(self):
-        findings = lint(
-            """
-            def drain(cursor):
-                return cursor.next()
-            """,
-            relpath="sim/fixture.py",
-        )
-        assert ids(findings) == ["GRIT-C008"]
-
-    def test_batch_api_and_other_nexts_are_clean(self):
-        clean = """
-        def replay(self, gpu_id, iterator):
-            vpns, writes = self.cursors[gpu_id].peek_batch(64)
-            self.cursors[gpu_id].advance(len(vpns))
-            return next(iterator), iterator.next()
-        """
-        assert lint(clean, relpath="sim/fixture.py") == []
-
-    def test_pipeline_and_out_of_scope_modules_are_exempt(self):
-        dirty = """
-        def next_access(self, cursor):
-            return cursor.next()
-        """
-        # pipeline.py owns the cursor; modules outside sim/ replay
-        # traces however they like (characterization, harness, ...).
-        assert lint(dirty, relpath="sim/pipeline.py") == []
-        assert lint(dirty, relpath="analysis/fixture.py") == []
-
-
 def _write_package(tmp_path, registry_body, docs=""):
     """Build a minimal fake package for the project-wide rules."""
     pkg = tmp_path / "pkg"
@@ -421,62 +378,3 @@ class TestMetricCatalogRule:
         engine = LintEngine(pkg, repo_root=tmp_path)
         found = ids(engine.run(paths=[]))
         assert found.count("GRIT-C005") == 2
-
-
-def _write_mechanic_package(tmp_path, executor_body):
-    """Minimal fake package exercising the mechanic-executor rule."""
-    pkg = tmp_path / "pkg"
-    (pkg / "policies").mkdir(parents=True)
-    (pkg / "uvm").mkdir()
-    (pkg / "policies" / "__init__.py").write_text("")
-    (pkg / "policies" / "registry.py").write_text("_FACTORIES = {}\n")
-    (pkg / "policies" / "base.py").write_text(
-        "import enum\n\n\n"
-        "class Mechanic(enum.Enum):\n"
-        "    ON_TOUCH = 'on_touch'\n"
-        "    DUPLICATION = 'duplication'\n"
-    )
-    (pkg / "uvm" / "executor.py").write_text(executor_body)
-    (tmp_path / "README.md").write_text("")
-    return pkg
-
-
-class TestMechanicDispatchRule:
-    COVERED = (
-        "from pkg.policies.base import Mechanic\n\n\n"
-        "@executes(Mechanic.ON_TOUCH)\n"
-        "def execute_on_touch(driver, gpu, page, is_write):\n"
-        "    return 0\n\n\n"
-        "@executes(Mechanic.DUPLICATION)\n"
-        "def execute_duplication(driver, gpu, page, is_write):\n"
-        "    return 0\n"
-    )
-    PARTIAL = (
-        "from pkg.policies.base import Mechanic\n\n\n"
-        "@executes(Mechanic.ON_TOUCH)\n"
-        "def execute_on_touch(driver, gpu, page, is_write):\n"
-        "    return 0\n"
-    )
-
-    def test_member_without_executor_is_flagged(self, tmp_path):
-        pkg = _write_mechanic_package(tmp_path, self.PARTIAL)
-        engine = LintEngine(pkg, repo_root=tmp_path)
-        findings = [
-            finding
-            for finding in engine.run(paths=[])
-            if finding.rule_id == "GRIT-C006"
-        ]
-        assert len(findings) == 1
-        assert "Mechanic.DUPLICATION" in findings[0].message
-        assert findings[0].path == "policies/base.py"
-
-    def test_decorators_cover_every_member(self, tmp_path):
-        pkg = _write_mechanic_package(tmp_path, self.COVERED)
-        engine = LintEngine(pkg, repo_root=tmp_path)
-        assert "GRIT-C006" not in ids(engine.run(paths=[]))
-
-    def test_no_mechanic_enum_degrades_to_noop(self, tmp_path):
-        pkg = _write_mechanic_package(tmp_path, self.PARTIAL)
-        (pkg / "policies" / "base.py").write_text("class Other: pass\n")
-        engine = LintEngine(pkg, repo_root=tmp_path)
-        assert "GRIT-C006" not in ids(engine.run(paths=[]))

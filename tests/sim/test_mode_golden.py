@@ -1,9 +1,12 @@
-"""Every simulator mode reproduces its committed capture.
+"""Every simulated result the repo pins, in one capture.
 
-The pipeline goldens pin flat timing at 4 KiB pages for four policies.
-``tests/data/mode_golden.json`` pins the rest: st, bfs and fir at scale
-0.05 under all 12 registered policies, in each of the modes below.  The
-flat 4 KiB mode holds only the policies the pipeline goldens lack.
+``tests/data/mode_golden.json`` records the full result of each
+``mode/workload/policy`` key of :data:`MODES` at scale 0.05: total and
+per-GPU cycles, every counter, the Fig. 3 breakdown and
+``result.details``.  Each key runs twice, with the steady-state fast
+path on (as captured) and off (``-no-fast-path`` ids).  Off, every
+access takes the full pipeline; the result must be the captured one,
+except that the two fast-path diagnostics read 0.
 
 Regenerate the capture (only for a deliberate change of results) with::
 
@@ -21,49 +24,72 @@ from repro.config import SystemConfig
 from repro.policies import available_policies, make_policy
 from repro.prefetch import TreePrefetcher
 from repro.sim.engine import simulate
-from repro.workloads.registry import make_workload
+from repro.workloads.registry import PAPER_APPS, make_workload
 
 GOLDEN_PATH = (
     pathlib.Path(__file__).parent.parent / "data" / "mode_golden.json"
 )
 
-WORKLOADS = ("st", "bfs", "fir")
+#: Trace scale of every captured run.
+SCALE = 0.05
 
-#: Policies ``pipeline_golden.json`` already pins at flat 4 KiB.
-PIPELINE_POLICIES = ("access_counter", "duplication", "grit", "on_touch")
+#: The paper's three uniform schemes and GRIT.
+SCHEMES = ("access_counter", "duplication", "grit", "on_touch")
 
-#: Mode name -> (SystemConfig overrides, tree prefetcher on).
+#: st, bfs and fir under every registered policy.
+ALL_POLICIES = [
+    (workload, policy)
+    for workload in ("st", "bfs", "fir")
+    for policy in available_policies()
+]
+
+#: The eight Table II apps under :data:`SCHEMES`.
+PAPER_MATRIX = [
+    (workload, policy) for workload in PAPER_APPS for policy in SCHEMES
+]
+
+#: Mode name -> (SystemConfig overrides, tree prefetcher on,
+#: (workload, policy) cells).
 MODES = {
-    "flat-4k": ({}, False),
-    "64k": ({"page_size": 65536}, False),
-    "queued-4gpu": ({"contention": "queued"}, False),
+    "flat-4k": ({}, False, sorted({*ALL_POLICIES, *PAPER_MATRIX})),
+    "nvswitch-8gpu": (
+        {"num_gpus": 8, "topology": "nvswitch"}, False, PAPER_MATRIX
+    ),
+    "2gpu": (
+        {"num_gpus": 2},
+        False,
+        [("fir", "on_touch"), ("fir", "grit"), ("st", "grit"),
+         ("bfs", "grit")],
+    ),
+    "64k": ({"page_size": 65536}, False, ALL_POLICIES),
+    "queued-4gpu": ({"contention": "queued"}, False, ALL_POLICIES),
     "queued-8gpu-nvswitch": (
         {"num_gpus": 8, "topology": "nvswitch", "contention": "queued"},
         False,
+        ALL_POLICIES,
     ),
-    "batch16": ({"fault_batch_size": 16}, False),
-    "prefetch": ({}, True),
+    "batch16": ({"fault_batch_size": 16}, False, ALL_POLICIES),
+    "prefetch": ({}, True, ALL_POLICIES),
 }
+
+#: Counters only the fast path increments; both read 0 with it off.
+FAST_PATH_DIAGNOSTICS = ("fastpath_accesses", "fastpath_runs")
 
 
 def matrix() -> list[str]:
     """``mode/workload/policy`` keys of the capture."""
-    keys = []
-    for mode in MODES:
-        for workload in WORKLOADS:
-            for policy in available_policies():
-                if mode == "flat-4k" and policy in PIPELINE_POLICIES:
-                    continue
-                keys.append(f"{mode}/{workload}/{policy}")
-    return keys
+    return [
+        f"{mode}/{workload}/{policy}"
+        for mode, (_, _, cells) in MODES.items()
+        for workload, policy in cells
+    ]
 
 
-def run(key: str) -> dict:
-    """One run, flattened the way the pipeline goldens are."""
-    mode, workload, policy = key.split("/")
-    overrides, prefetch = MODES[mode]
-    config = SystemConfig(**overrides)
-    trace = make_workload(workload, num_gpus=config.num_gpus, scale=0.05)
+def record(
+    config: SystemConfig, workload: str, policy: str, prefetch: bool = False
+) -> dict:
+    """One run at :data:`SCALE`, as the capture records it."""
+    trace = make_workload(workload, num_gpus=config.num_gpus, scale=SCALE)
     result = simulate(
         config,
         trace,
@@ -79,6 +105,14 @@ def run(key: str) -> dict:
     }
 
 
+def run(key: str, fast_path: bool = True) -> dict:
+    """The run of one capture key."""
+    mode, workload, policy = key.split("/")
+    overrides, prefetch, _ = MODES[mode]
+    config = SystemConfig(**overrides, fast_path=fast_path)
+    return record(config, workload, policy, prefetch)
+
+
 def capture() -> dict:
     """The whole matrix, as committed in :data:`GOLDEN_PATH`."""
     return {key: run(key) for key in matrix()}
@@ -87,10 +121,22 @@ def capture() -> dict:
 GOLDEN = json.loads(GOLDEN_PATH.read_text()) if GOLDEN_PATH.exists() else {}
 
 
-@pytest.mark.parametrize("key", matrix())
-def test_mode_matches_golden(key):
+@pytest.mark.parametrize(
+    "key,fast_path",
+    [pytest.param(key, True, id=key) for key in matrix()]
+    + [
+        pytest.param(key, False, id=f"{key}-no-fast-path")
+        for key in matrix()
+    ],
+)
+def test_mode_matches_golden(key, fast_path):
+    want = GOLDEN[key]
+    if not fast_path:
+        counters = dict(want["counters"])
+        counters.update(dict.fromkeys(FAST_PATH_DIAGNOSTICS, 0))
+        want = {**want, "counters": counters}
     # Compared as JSON, the form the capture was stored in.
-    assert json.loads(json.dumps(run(key))) == GOLDEN[key]
+    assert json.loads(json.dumps(run(key, fast_path))) == want
 
 
 if __name__ == "__main__":

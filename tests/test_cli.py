@@ -64,9 +64,18 @@ class TestRun:
              "need at least one GPU"),
             (["run", "fir", "grit", "--gpus", "0", "--trace", "out.json"],
              "need at least one GPU"),
+            (["run", "fir", "grit", "--scale", "-1"],
+             "scale must be a finite positive number, got -1.0"),
+            (["run", "fir", "grit", "--scale", "nan"],
+             "scale must be a finite positive number, got nan"),
+            (["characterize", "fir", "--gpus", "0"],
+             "need at least one GPU, got num_gpus=0"),
+            (["dump-trace", "fir", "out.npz", "--gpus", "-2"],
+             "need at least one GPU, got num_gpus=-2"),
         ],
         ids=["topology", "gpus", "page-size", "fault-batch", "sweep",
-             "trace"],
+             "trace", "scale-negative", "scale-nan", "characterize-gpus",
+             "dump-trace-gpus"],
     )
     def test_bad_config_exits_2_naming_it(
         self, argv, message, capsys, tmp_path, monkeypatch
@@ -188,9 +197,9 @@ class TestSweep:
             argv = [
                 "sweep",
                 "--workloads",
-                "fir",
+                "fir,st",
                 "--policies",
-                "grit",
+                "on_touch,grit",
                 "--scale",
                 "0.05",
                 "--workers",
@@ -201,7 +210,9 @@ class TestSweep:
             assert main(argv) == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
         summary = json.loads(paths[0].read_text())
-        assert sorted(summary) == ["fir/grit", "fir/on_touch"]
+        assert sorted(summary) == [
+            "fir/grit", "fir/on_touch", "st/grit", "st/on_touch"
+        ]
         assert set(summary["fir/grit"]) == {"total_cycles", "digest"}
 
     def test_unknown_workload_fails_before_simulating(
@@ -240,42 +251,43 @@ class TestSweep:
         assert not report.exists()
 
 
-class TestBench:
-    def test_write_then_compare_passes_and_counter_drift_fails(
-        self, tmp_path, capsys
+class TestInspect:
+    ARGV = ["inspect", "fir", "grit", "--gpus", "2", "--scale", "0.05"]
+
+    def test_ranking_then_lifecycle_of_the_top_page(self, capsys):
+        assert main([*self.ARGV, "--limit", "3"]) == 0
+        header, *rows, footer = capsys.readouterr().out.splitlines()
+        assert header.startswith("busiest pages of fir/grit (")
+        assert header.endswith(" events logged):")
+        assert footer == "re-run with --vpn N for a page's full lifecycle"
+        ranking = [
+            (int(vpn), int(count))
+            for _, vpn, count, _ in (row.split() for row in rows)
+        ]
+        assert len(ranking) == 3
+        counts = [count for _, count in ranking]
+        assert counts == sorted(counts, reverse=True)
+        top, events = ranking[0]
+        assert main([*self.ARGV, "--vpn", str(top)]) == 0
+        lifecycle = capsys.readouterr().out.splitlines()
+        assert lifecycle[0] == f"page {top}: {events} events"
+        numbered = [line for line in lifecycle if line.startswith("  #")]
+        assert len(numbered) == events
+
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    def test_limit_below_one_exits_2_before_simulating(
+        self, limit, capsys, monkeypatch
     ):
-        import json
+        from repro.sim.engine import Engine
 
-        baselines = tmp_path / "baselines"
-        common = ["bench", "--cases", "fir-grit", "--scale", "0.05"]
-        assert main([*common, "--output", str(baselines)]) == 0
-        baseline_path = baselines / "BENCH_fir-grit.json"
-        document = json.loads(baseline_path.read_text())
-        assert document["counters"]["total_cycles"] > 0
-        # A rerun matches its own baseline exactly...
-        assert main([*common, "--compare", str(baselines)]) == 0
-        capsys.readouterr()
-        # ...and one changed counter fails the check.
-        document["counters"]["migrations"] += 1
-        baseline_path.write_text(json.dumps(document))
-        assert main([*common, "--compare", str(baselines)]) == 1
-        assert "migrations changed" in capsys.readouterr().err
+        def no_simulation(self):
+            raise AssertionError("simulated")
 
-    def test_help_offers_only_the_counter_check(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["bench", "--help"])
-        options = {
-            word.strip("[],")
-            for word in capsys.readouterr().out.split()
-            if word.startswith(("--", "[--"))
-        }
-        assert options == {
-            "--help", "--cases", "--scale", "--output", "--compare"
-        }
-
-    def test_unknown_case_is_an_error(self, capsys):
-        assert main(["bench", "--cases", "nope"]) == 2
-        assert "unknown bench case" in capsys.readouterr().err
+        monkeypatch.setattr(Engine, "run", no_simulation)
+        assert main([*self.ARGV, "--limit", limit]) == 2
+        assert capsys.readouterr().err == (
+            "error: --limit must be at least 1\n"
+        )
 
 
 class TestLint:

@@ -3,9 +3,9 @@
 ``test_generators.py`` checks element equality on the default seed;
 this suite tightens the contract to *byte* identity (values, dtypes,
 and shapes) for every registered generator under explicit seeds — the
-property the committed goldens and bench baselines rest on — and pins
-down exactly which num_gpus-stability guarantees the synthetic
-generators provide by design.
+property the mode golden (``tests/sim/test_mode_golden.py``) rests on —
+and pins down exactly which num_gpus-stability guarantees the
+synthetic generators provide by design.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ from repro.workloads import (
     available_workloads,
     make_workload,
 )
-from repro.errors import UnknownWorkloadError
+from repro.errors import ConfigError, UnknownWorkloadError
 
 APPS = sorted(APPLICATION_TABLE)
 
@@ -31,6 +31,24 @@ class TestRegistry:
     def test_unknown_workload_raises(self):
         with pytest.raises(UnknownWorkloadError):
             make_workload("nope")
+
+    @pytest.mark.parametrize(
+        "kwargs,named",
+        [
+            ({"num_gpus": 0}, "num_gpus=0"),
+            ({"scale": -1.0}, "got -1.0"),
+            ({"scale": 0.0}, "got 0.0"),
+            ({"scale": float("nan")}, "got nan"),
+            ({"scale": float("inf")}, "got inf"),
+        ],
+        ids=["gpus-0", "scale-negative", "scale-zero", "scale-nan",
+             "scale-inf"],
+    )
+    def test_bad_arguments_raise_config_error_naming_them(
+        self, kwargs, named
+    ):
+        with pytest.raises(ConfigError, match=named):
+            make_workload("fir", **kwargs)
 
     def test_table_ii_metadata(self):
         assert APPLICATION_TABLE["bfs"].suite == "SHOC"
